@@ -27,28 +27,51 @@ from .oracle import DEFAULT_OMEGA_LIMIT, vcg_outcome
 
 
 def _greedy(bundles, coinbase, bids, key_weight) -> Block:
+    """Repeatedly append the remaining bundle with the largest value /
+    key_weight in the partial block's context, the first in id order on
+    ties, until that bundle's value is not positive.
+
+    Values are cached between rounds. Placing a bundle changes the context
+    only of the remaining bundles whose footprint meets its effective
+    writes; only those get it appended to their predecessors and are
+    evaluated again.
+    """
     by_id = as_bundle_map(bundles)
     remaining = sorted(by_id)
-    placed = []  # (id, effective writes)
+    touching: dict = {}  # storage key -> ids whose footprint holds it
+    for i in remaining:
+        for k in by_id[i].footprint:
+            touching.setdefault(k, []).append(i)
+    preds = {i: [] for i in remaining}
+    values: dict = {}
+    keys: dict = {}
+
+    def evaluate(i: int) -> None:
+        fn = bids.get(i) if bids is not None else None
+        ctx = ExecutionContext(tuple(preds[i]), coinbase)
+        values[i] = evaluate_bid(by_id[i], ctx, fn)
+        keys[i] = values[i] / key_weight(by_id[i])
+
+    for i in remaining:
+        evaluate(i)
     block = []
     while remaining:
-        best_id = None
-        best_bid = 0.0
-        best_key = 0.0
-        for i in remaining:
-            b = by_id[i]
-            preds = tuple(j for j, w in placed if w & b.footprint)
-            ctx = ExecutionContext(preds, coinbase)
-            fn = bids.get(i) if bids is not None else None
-            value = evaluate_bid(b, ctx, fn)
-            key = value / key_weight(b)
-            if best_id is None or key > best_key:
-                best_id, best_bid, best_key = i, value, key
-        if best_bid <= 0.0:
+        # max keeps the first of equal keys, so ties go to the lowest id
+        best_id = max(remaining, key=keys.__getitem__)
+        if values[best_id] <= 0.0:
             break
         block.append(best_id)
-        placed.append((best_id, by_id[best_id].effective_writes(coinbase)))
         remaining.remove(best_id)
+        del keys[best_id]
+        affected = {
+            j
+            for k in by_id[best_id].effective_writes(coinbase)
+            for j in touching[k]
+            if j in keys
+        }
+        for j in affected:
+            preds[j].append(best_id)
+            evaluate(j)
     return tuple(block)
 
 

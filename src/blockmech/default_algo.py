@@ -189,7 +189,7 @@ class _GroupEvaluator:
             elif isinstance(fn, ConstantBid):
                 self.const[t] = fn.value
             else:
-                self.entries[t] = fn.entries
+                self.entries[t] = dict(fn.entries)  # plain dict: faster .get
                 self.default[t] = fn.default
 
     def values(self, block: Block) -> tuple:
@@ -332,6 +332,32 @@ def block_building(
     return block
 
 
+def default_pass(
+    groups,
+    bundles,
+    k_cutoff: int,
+    seed: int,
+    coinbase: CoinbaseLabel,
+    bids: Optional[Mapping] = None,
+    threads: int = 1,
+) -> list:
+    """One default-algorithm pass over the given conflict groups of
+    `bundles`: per group, in order, the pair (GroupResolution,
+    {member id: (sub_block, value of others)}) from one enumeration.
+
+    Concatenating the base sub-blocks gives the default block; zeroing
+    member i's bid swaps in i's sub-block for its own group only.
+    """
+    by_id = as_bundle_map(bundles)
+    return ordered_map(
+        lambda g: resolve_group_with_counterfactuals(
+            g, by_id, k_cutoff, seed, coinbase, bids
+        ),
+        groups,
+        threads,
+    )
+
+
 def counterfactual_blocks(
     bundles,
     k_cutoff: int = DEFAULT_K_CUTOFF,
@@ -343,22 +369,16 @@ def counterfactual_blocks(
     """For each bundle i, the block built with i's bid forced to zero.
 
     Zeroing one bid can only change the resolution of that bundle's own
-    group, so the other groups' sub-blocks are spliced in unchanged, and the
-    per-group counterfactual argmaxes come from the same enumeration pass as
-    the base resolution (asserted equal to the full rerun by the test
-    suite). The bundle stays in the input and may still be included at zero
-    bid; the seed (and therefore every candidate set) is unchanged.
+    group, so the other groups' sub-blocks are spliced in unchanged from
+    `default_pass` (asserted equal to the full rerun by the test suite).
+    The bundle stays in the input and may still be included at zero bid;
+    the seed (and therefore every candidate set) is unchanged.
     """
     by_id = as_bundle_map(bundles)
     if coinbase is None:
         coinbase = one_time_label(seed)
-    groups = get_conflict_groups(by_id)
-    resolved = ordered_map(
-        lambda g: resolve_group_with_counterfactuals(
-            g, by_id, k_cutoff, seed, coinbase, bids
-        ),
-        groups,
-        threads,
+    resolved = default_pass(
+        get_conflict_groups(by_id), by_id, k_cutoff, seed, coinbase, bids, threads
     )
     out = {}
     for slot, (_, counterfactuals) in enumerate(resolved):
@@ -378,7 +398,8 @@ def _counterfactual_blocks_naive(
     coinbase: Optional[CoinbaseLabel] = None,
     bids: Optional[Mapping] = None,
 ) -> dict:
-    """Reference implementation: full rebuild per zeroed bundle."""
+    """Test reference for `counterfactual_blocks`: a full rebuild per zeroed
+    bundle. Nothing in the package calls it."""
     by_id = as_bundle_map(bundles)
     if coinbase is None:
         coinbase = one_time_label(seed)

@@ -2,11 +2,13 @@
 
 Conflict-free bundles are set aside first and appended to whatever block
 wins; they are always refunded their own bid, so their net payment is zero.
-The default algorithm runs on the remaining core under a one-time coinbase
-label and fixes every searcher refund. Builder algorithms then compete on
-the same core; the best builder bid faces a second-price rule with the
-default block's value as the reserve. Searcher refunds are identical no
-matter which side wins.
+The default algorithm makes one pass over the remaining core under a
+one-time coinbase label: each conflict group's enumeration yields its
+sub-block of the default block and, per member, its best sub-block with
+that member's bid zeroed. That pass fixes every searcher refund, group by
+group. Builder algorithms then compete on the same core; the best builder
+bid faces a second-price rule with the default block's value as the
+reserve. Searcher refunds are identical no matter which side wins.
 
 An alternative refund rule driven by builder-reported counterfactual bids is
 also provided. It is deliberately vulnerable to builder-searcher collusion
@@ -22,11 +24,12 @@ from typing import Mapping, Optional, Sequence
 
 from .baselines import greedy_by_bid, greedy_by_density
 from .conflict import conflict_free_set, get_conflict_groups
-from .default_algo import block_building, counterfactual_blocks
+from .default_algo import block_building, default_pass
 from .model import (
     Block,
     BuilderSpec,
     CoinbaseLabel,
+    GatedBid,
     Scenario,
     as_bundle_map,
     block_bids,
@@ -44,11 +47,17 @@ class MechanismError(ValueError):
 
 @dataclass(frozen=True)
 class BuilderEnv:
-    """Per-run context handed to a builder algorithm."""
+    """Per-run context handed to a builder algorithm.
+
+    `default_block` is the run's default block when no core bundle's
+    execution depends on the coinbase label, so that rerunning the default
+    algorithm under the builder's label would rebuild it; otherwise None.
+    """
 
     label: CoinbaseLabel
     k_cutoff: int
     seed: int
+    default_block: Optional[Block] = None
 
 
 class BuilderAlgorithm:
@@ -65,13 +74,19 @@ class BuilderAlgorithm:
         raise NotImplementedError
 
 
+def _default_block(bundles, bids, env: BuilderEnv) -> Block:
+    if env.default_block is not None:
+        return env.default_block
+    return block_building(bundles, env.k_cutoff, env.seed, env.label, bids)
+
+
 class CopyDefaultBuilder(BuilderAlgorithm):
     """Runs the default algorithm under its own label and bids truthfully."""
 
     name = "copy-default"
 
     def produce(self, bundles, bids, env):
-        block = block_building(bundles, env.k_cutoff, env.seed, env.label, bids)
+        block = _default_block(bundles, bids, env)
         return block, block_total_bid(block, bundles, env.label, bids)
 
 
@@ -106,7 +121,7 @@ class HalfDefaultBuilder(BuilderAlgorithm):
     name = "half-default"
 
     def produce(self, bundles, bids, env):
-        block = block_building(bundles, env.k_cutoff, env.seed, env.label, bids)
+        block = _default_block(bundles, bids, env)
         return block, block_total_bid(block, bundles, env.label, bids) / 2.0
 
 
@@ -222,7 +237,10 @@ def refund_default(
 ) -> float:
     """Refund fixed by the default run: total bid of the default block minus
     what the others collect in the counterfactual block built with i's bid
-    zeroed. Non-negative, and never more than i's own bid in the block."""
+    zeroed. Non-negative, and never more than i's own bid in the block.
+
+    Test reference for the group-local refunds of `run_mechanism`, which
+    never calls it: this route evaluates two full blocks per bundle."""
     by_id = as_bundle_map(bundles)
     if i not in by_id:
         raise MechanismError(
@@ -261,6 +279,18 @@ def _append_conflict_free(core_block: Block, free_ids, bundles) -> Block:
     return tuple(core_block) + tuple(tail)
 
 
+def _label_invariant(core: dict, bids: Optional[Mapping]) -> bool:
+    """True when no core bundle has a gate and no effective bid (override
+    or declared) is gated: then every label sees the same bids and writes."""
+    for i, b in core.items():
+        fn = bids.get(i) if bids is not None else None
+        if fn is None:
+            fn = b.bid
+        if b.gate is not None or isinstance(fn, GatedBid):
+            return False
+    return True
+
+
 def run_mechanism(
     scenario: Scenario,
     bids: Optional[Mapping] = None,
@@ -268,6 +298,13 @@ def run_mechanism(
     threads: int = 1,
 ) -> MechanismOutcome:
     """Execute the full mechanism on a scenario.
+
+    One default pass over the core's conflict groups gives the default
+    block and every refund. Groups are separable, so bundle i's refund is
+    its group's best value minus what the other members collect in the
+    group's best sub-block with i's bid zeroed: the other groups would add
+    the same amount to both terms. When the run is label-invariant,
+    builders get the default block through `BuilderEnv.default_block`.
 
     `bids` optionally overrides bundle bid functions by id (deviation
     sweeps); `builders` optionally replaces the scenario's registry-named
@@ -284,22 +321,32 @@ def run_mechanism(
     # Phase 1: default run under a fresh one-time label; refunds are fixed
     # here and never revisited.
     label0 = one_time_label(scenario.seed)
-    o_star = block_building(
-        core, scenario.k_cutoff, scenario.seed, label0, bids, threads=threads
+    resolved = default_pass(
+        [g for g in groups if len(g) > 1],
+        core,
+        scenario.k_cutoff,
+        scenario.seed,
+        label0,
+        bids,
+        threads,
     )
+    o_star = tuple(i for res, _ in resolved for i in res.sub_block)
     beta0 = block_total_bid(o_star, core, label0, bids)
-    o_minus = counterfactual_blocks(
-        core, scenario.k_cutoff, scenario.seed, label0, bids, threads=threads
-    )
-    refunds = {
-        i: refund_default(i, o_star, o_minus[i], core, label0, bids) for i in core
+    group_refunds = {
+        i: res.value - others
+        for res, counterfactuals in resolved
+        for i, (_, others) in counterfactuals.items()
     }
+    refunds = {i: group_refunds[i] for i in core}  # id order: summed below
+    reuse = o_star if _label_invariant(core, bids) else None
 
     # Phase 2: builder competition on the same core, each under its own
     # fixed label, isolated from one another.
     def run_builder(item):
         index, algo = item
-        env = BuilderEnv(builder_label(index), scenario.k_cutoff, scenario.seed)
+        env = BuilderEnv(
+            builder_label(index), scenario.k_cutoff, scenario.seed, reuse
+        )
         try:
             block, beta = algo.produce(core, bids, env)
         except Exception:

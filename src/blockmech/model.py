@@ -10,7 +10,9 @@ operation in the package is a pure function and safe to share across threads.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Union
 
 # Account-balance conflicts share the key space with contract storage via a
@@ -23,6 +25,13 @@ Block = tuple
 
 class ModelError(ValueError):
     """Malformed domain object or misuse of a model operation."""
+
+
+def _check_bid_value(value, what: str) -> None:
+    if not math.isfinite(value):
+        raise ModelError(f"non-finite {what} {value}")
+    if value < 0:
+        raise ModelError(f"negative {what} {value}")
 
 
 @dataclass(frozen=True, order=True)
@@ -85,8 +94,7 @@ class ConstantBid:
     value: float
 
     def __post_init__(self):
-        if self.value < 0:
-            raise ModelError(f"negative bid value {self.value}")
+        _check_bid_value(self.value, "bid value")
 
     def evaluate(self, ctx: ExecutionContext) -> float:
         return self.value
@@ -98,14 +106,20 @@ class ConstantBid:
 @dataclass(frozen=True, eq=True)
 class TableBid:
     """Context-dependent payment: exact-match lookup on the canonical
-    predecessor-sequence signature, falling back to a default."""
+    predecessor-sequence signature, falling back to a default.
+
+    `entries` is copied into a read-only mapping, so later changes to the
+    caller's dict cannot reach the bid."""
 
     entries: Mapping[str, float]
     default: float
 
     def __post_init__(self):
-        if self.default < 0 or any(v < 0 for v in self.entries.values()):
-            raise ModelError("negative bid value in table")
+        entries = MappingProxyType(dict(self.entries))
+        object.__setattr__(self, "entries", entries)
+        _check_bid_value(self.default, "table default")
+        for signature, value in entries.items():
+            _check_bid_value(value, f"table entry '{signature}'")
 
     def evaluate(self, ctx: ExecutionContext) -> float:
         return self.entries.get(ctx.signature, self.default)
@@ -272,23 +286,27 @@ def block_bids(
 ) -> dict:
     """Per-included-bundle bid values, evaluated in one pass over the block.
 
-    `bids` optionally overrides bid functions per bundle id; ids absent from
-    the override use their declared bid.
+    Each entry's predecessors come from a per-key index of the effective
+    writers placed so far, so the cost follows the conflicts an entry has,
+    not the block length. `bids` optionally overrides bid functions per
+    bundle id; ids absent from the override use their declared bid.
     """
     by_id = as_bundle_map(bundles)
     violation = validate_builder_block(block, by_id)
     if violation is not None:
         raise ModelError(str(violation))
     values: dict = {}
-    placed = []  # (id, effective writes) for bundles already in the block
-    for i in block:
+    writers: dict = {}  # storage key -> positions of placed bundles writing it
+    for position, i in enumerate(block):
         b = by_id[i]
-        footprint = b.footprint
-        preds = tuple(j for j, w in placed if w & footprint)
-        ctx = ExecutionContext(preds, coinbase)
+        hits: set = set()
+        for key in b.footprint:
+            hits.update(writers.get(key, ()))
+        preds = tuple(block[p] for p in sorted(hits))
         fn = bids.get(i) if bids is not None else None
-        values[i] = evaluate_bid(b, ctx, fn)
-        placed.append((i, b.effective_writes(coinbase)))
+        values[i] = evaluate_bid(b, ExecutionContext(preds, coinbase), fn)
+        for key in b.effective_writes(coinbase):
+            writers.setdefault(key, []).append(position)
     return values
 
 
@@ -316,7 +334,7 @@ class BlockViolation:
 def validate_builder_block(block: Block, bundles) -> Optional[BlockViolation]:
     """A valid block is a duplicate-free subset of the input ids; returns the
     first offending id otherwise."""
-    known = set(as_bundle_map(bundles))
+    known = as_bundle_map(bundles)
     seen = set()
     for i in block:
         if i in seen:

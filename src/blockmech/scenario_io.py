@@ -9,6 +9,7 @@ produce byte-identical files, and load(save(s)) is structurally equal to s.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .model import (
@@ -56,17 +57,32 @@ def _bid_to_dict(fn) -> dict:
     raise TypeError(f"unknown bid function type {type(fn).__name__}")
 
 
+def _bid_value(value, where: str) -> float:
+    """A finite number; NaN and infinities would poison every sum they
+    enter, so they are refused where the file states them."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioParseError(where, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ScenarioParseError(where, f"bid values must be finite, got {value}")
+    return float(value)
+
+
 def _bid_from_dict(record, where: str):
     if not isinstance(record, dict):
         raise ScenarioParseError(where, "expected an object with a 'variant' field")
     variant = _require(record, "variant", where)
     if variant == "constant":
-        return ConstantBid(float(_require(record, "value", where)))
+        return ConstantBid(_bid_value(_require(record, "value", where), f"{where}.value"))
     if variant == "table":
         entries = _require(record, "entries", where)
+        if not isinstance(entries, dict):
+            raise ScenarioParseError(f"{where}.entries", "expected an object")
         return TableBid(
-            {str(k): float(v) for k, v in entries.items()},
-            float(_require(record, "default", where)),
+            {
+                str(k): _bid_value(v, f"{where}.entries[{json.dumps(k)}]")
+                for k, v in entries.items()
+            },
+            _bid_value(_require(record, "default", where), f"{where}.default"),
         )
     if variant == "gated":
         return GatedBid(

@@ -3,7 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from blockmech.cli import main
 from blockmech.fixtures import example2_scenario
@@ -11,6 +17,7 @@ from blockmech.scenario_io import load_scenario, save_scenario
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLE2 = str(REPO / "fixtures" / "example2.json")
+FIXTURES = sorted(str(p) for p in (REPO / "fixtures").glob("*.json"))
 
 
 def run_cli(capsys, *argv):
@@ -195,3 +202,69 @@ def test_fixture_files_match_constructors(tmp_path):
     regenerated = tmp_path / "example2.json"
     save_scenario(example2_scenario(), regenerated)
     assert regenerated.read_bytes() == Path(EXAMPLE2).read_bytes()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize("field", ["value", "default", "entries"])
+def test_non_finite_bid_is_a_located_usage_error(capsys, tmp_path, field, bad):
+    record = json.loads(Path(EXAMPLE2).read_text())
+    bid = record["bundles"][0]["bid"]
+    if field == "value":
+        record["bundles"][0]["bid"] = {"variant": "constant", "value": bad}
+    elif field == "default":
+        bid["default"] = bad
+    else:
+        bid["entries"]["2"] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record))  # writes the NaN / Infinity literals
+    for command in ("mechanism", "build", "oracle"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2, command
+        assert "bundles[0].bid" in err and "finite" in err
+        assert out == ""
+
+
+# Runs each CLI command in one fresh interpreter and prints its stdout,
+# so hash-seeded set and dict order anywhere in a run would show.
+_DETERMINISM_SCRIPT = """
+import sys
+from blockmech.cli import main
+fixtures = sys.argv[1:]
+commands = []
+for path in fixtures:
+    commands += [
+        ["build", path, "--counterfactuals"],
+        ["build", path, "--format", "json"],
+        ["mechanism", path],
+        ["mechanism", path, "--format", "json"],
+    ]
+for prop in ("dsic-searcher", "dsic-builder", "integration"):
+    commands.append(["verify", prop, "--n", "2", "--seed", "4", "--format", "json"])
+for argv in commands:
+    print("$", *argv[:1], flush=True)
+    code = main(argv)
+    print("exit", code, flush=True)
+"""
+
+
+def test_output_bytes_do_not_depend_on_hash_seed(tmp_path):
+    hash_seeds = ["0", "1", str(random.randrange(2, 2**32))]
+    outputs = {}
+    for hash_seed in hash_seeds:
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", _DETERMINISM_SCRIPT, *FIXTURES],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            timeout=300,
+            check=True,
+        )
+        assert b"exit 0" in run.stdout
+        outputs[hash_seed] = run.stdout
+    first = outputs[hash_seeds[0]]
+    for hash_seed, out in outputs.items():
+        assert out == first, f"PYTHONHASHSEED={hash_seed} changed the output"

@@ -1,0 +1,371 @@
+"""Differential tests pinning each fast path to a slow reference route.
+
+- group-local refunds of `run_mechanism` against `refund_default` over
+  `counterfactual_blocks`;
+- the indexed `model.block_bids` against a scan of every placed bundle;
+- the incremental greedies against the quadratic greedy kept below;
+- builders reusing the default block against ones that rebuild it.
+
+Generated bids are integers, so the fast and slow routes must agree
+exactly; the one fractional case states its tolerance.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import random
+from dataclasses import replace
+
+import pytest
+
+from blockmech.baselines import greedy_by_bid, greedy_by_density
+from blockmech.conflict import conflict_free_set, get_conflict_groups
+from blockmech.default_algo import block_building, counterfactual_blocks
+from blockmech.fixtures import (
+    collusion_scenario,
+    deficit_scenario,
+    example2_scenario,
+    integration_fixture,
+)
+from blockmech.mechanism import (
+    BuilderAlgorithm,
+    CopyDefaultBuilder,
+    HalfDefaultBuilder,
+    GreedyBidBuilder,
+    refund_default,
+    run_mechanism,
+)
+from blockmech.model import (
+    Bundle,
+    ConstantBid,
+    ExecutionContext,
+    GatedBid,
+    StorageKey,
+    TableBid,
+    TxRef,
+    block_bids,
+    block_total_bid,
+    builder_label,
+    evaluate_bid,
+    one_time_label,
+)
+from blockmech.workload import PROFILES, Profile, generate_scenario
+
+from conftest import key, make_bundle
+
+# The order-flow shape at 400 bundles: groups of 1-3, table bids, both
+# shortcuts present.
+SETTLE_SHAPED = Profile(
+    name="settle-shaped",
+    n_bundles=400,
+    group_sizes={1: 0.52, 2: 0.2, 3: 0.12},
+    shared_pivot_rate=0.2,
+    same_target_rate=0.2,
+    bid_model="table",
+    builders=("copy-default", "greedy-bid", "greedy-density"),
+)
+
+SCENARIOS = {
+    "example2": example2_scenario,
+    "deficit": deficit_scenario,
+    "collusion": collusion_scenario,
+    "integration": integration_fixture,
+    "realistic-3": lambda: generate_scenario(PROFILES["realistic"], 3),
+    "realistic-17": lambda: generate_scenario(PROFILES["realistic"], 17),
+    "stress-2": lambda: generate_scenario(PROFILES["stress-large-groups"], 2),
+    "stress-5": lambda: generate_scenario(PROFILES["stress-large-groups"], 5),
+    "settle-400": lambda: generate_scenario(SETTLE_SHAPED, 1),
+}
+
+
+def _reference_settlement(scenario, bids=None):
+    """Default block, beta0 and refunds by the slow route: full
+    counterfactual blocks and two block evaluations per core bundle."""
+    bundles = scenario.bundle_map()
+    label = one_time_label(scenario.seed)
+    free = conflict_free_set(get_conflict_groups(bundles))
+    core = {i: b for i, b in bundles.items() if i not in free}
+    o_star = block_building(core, scenario.k_cutoff, scenario.seed, label, bids)
+    counter = counterfactual_blocks(
+        core, scenario.k_cutoff, scenario.seed, label, bids
+    )
+    refunds = {
+        i: refund_default(i, o_star, counter[i], core, label, bids) for i in core
+    }
+    return o_star, block_total_bid(o_star, core, label, bids), refunds
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_group_local_refunds_equal_refund_default(name):
+    scenario = SCENARIOS[name]()
+    outcome = run_mechanism(scenario)
+    o_star, beta0, refunds = _reference_settlement(scenario)
+    assert outcome.default_block == o_star
+    assert outcome.beta0 == beta0
+    for i, refund in refunds.items():
+        assert outcome.searcher_ledger[i].refund == refund, i
+    if outcome.winning_builder is None:
+        settled = outcome.beta0
+    else:
+        settled = max(outcome.beta0, outcome.beta_prime)
+    assert outcome.proposer_revenue == settled - sum(refunds.values())
+
+
+def test_group_local_refunds_fractional_bids_within_tolerance():
+    # Scaling by 0.1 makes every bid inexact in binary, so the group-local
+    # difference and the whole-block difference may round differently.
+    # The allowed gap is 1e-9 of the default block's value.
+    scenario = generate_scenario(PROFILES["realistic"], 8)
+    bids = {b.id: b.bid.scaled(0.1) for b in scenario.bundles}
+    outcome = run_mechanism(scenario, bids=bids)
+    o_star, beta0, refunds = _reference_settlement(scenario, bids)
+    assert outcome.default_block == o_star
+    assert outcome.beta0 == beta0
+    tolerance = 1e-9 * max(1.0, beta0)
+    assert refunds
+    for i, refund in refunds.items():
+        assert math.isclose(
+            outcome.searcher_ledger[i].refund, refund, rel_tol=0, abs_tol=tolerance
+        ), i
+
+
+# -- block evaluation -----------------------------------------------------
+
+
+def _placed_scan_block_bids(block, bundles, coinbase, bids=None):
+    """Reference: each entry checks every placed bundle's writes."""
+    values = {}
+    placed = []
+    for i in block:
+        b = bundles[i]
+        preds = tuple(j for j, w in placed if w & b.footprint)
+        fn = bids.get(i) if bids is not None else None
+        values[i] = evaluate_bid(b, ExecutionContext(preds, coinbase), fn)
+        placed.append((i, b.effective_writes(coinbase)))
+    return values
+
+
+KEYS = [StorageKey("c", f"s{k}") for k in range(4)]
+GATE = builder_label(0)
+
+
+def _order_sensitive_bundles(rng: random.Random, n: int) -> dict:
+    """Bundles over four keys whose table bids price every predecessor
+    sequence of length one and two differently; some bundles and some bids
+    are gated on builder 0."""
+    ids = list(range(1, n + 1))
+    out = {}
+    for i in ids:
+        others = [j for j in ids if j != i]
+        entries = {
+            ",".join(map(str, seq)): float(rng.randint(0, 60))
+            for size in (1, 2)
+            for seq in itertools.permutations(others, size)
+        }
+        bid = TableBid(entries, float(rng.randint(0, 60)))
+        if rng.random() < 0.2:
+            bid = GatedBid(GATE, bid)
+        out[i] = Bundle(
+            id=i,
+            txs=(TxRef(f"0x{i:02x}", f"t{i % 3}"),),
+            reads=frozenset(rng.sample(KEYS, rng.randint(0, 2))),
+            writes=frozenset(rng.sample(KEYS, rng.randint(0, 2))),
+            weight=rng.randint(1, 4),
+            gate=GATE if rng.random() < 0.2 else None,
+            bid=bid,
+            valuation=bid,
+        )
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_indexed_block_bids_equal_placed_scan(seed):
+    rng = random.Random(seed)
+    bundles = _order_sensitive_bundles(rng, 7)
+    ids = sorted(bundles)
+    for label in (GATE, builder_label(1)):  # gate matches, gate does not
+        for _ in range(40):
+            block = tuple(rng.sample(ids, rng.randint(0, len(ids))))
+            override = {ids[0]: ConstantBid(3.0), ids[1]: GatedBid(GATE, ConstantBid(5.0))}
+            for bids in (None, override):
+                fast = block_bids(block, bundles, label, bids)
+                slow = _placed_scan_block_bids(block, bundles, label, bids)
+                assert list(fast.items()) == list(slow.items())
+
+
+def test_indexed_block_bids_on_generated_scenarios():
+    for scenario in (
+        generate_scenario(PROFILES["realistic"], 4),
+        generate_scenario(PROFILES["stress-large-groups"], 4),
+    ):
+        bundles = scenario.bundle_map()
+        label = one_time_label(scenario.seed)
+        block = tuple(random.Random(4).sample(sorted(bundles), len(bundles)))
+        assert block_bids(block, bundles, label) == _placed_scan_block_bids(
+            block, bundles, label
+        )
+
+
+# -- greedy builders ------------------------------------------------------
+
+
+def _quadratic_greedy(bundles, coinbase, bids, key_weight):
+    """Reference greedy: every round evaluates every remaining bundle
+    against every placed one."""
+    by_id = dict(bundles)
+    remaining = sorted(by_id)
+    placed = []
+    block = []
+    while remaining:
+        best_id = None
+        best_bid = 0.0
+        best_key = 0.0
+        for i in remaining:
+            b = by_id[i]
+            preds = tuple(j for j, w in placed if w & b.footprint)
+            fn = bids.get(i) if bids is not None else None
+            value = evaluate_bid(b, ExecutionContext(preds, coinbase), fn)
+            key = value / key_weight(b)
+            if best_id is None or key > best_key:
+                best_id, best_bid, best_key = i, value, key
+        if best_bid <= 0.0:
+            break
+        block.append(best_id)
+        placed.append((best_id, by_id[best_id].effective_writes(coinbase)))
+        remaining.remove(best_id)
+    return tuple(block)
+
+
+def _assert_greedies_match(bundles, label, bids=None):
+    assert greedy_by_bid(bundles, label, bids) == _quadratic_greedy(
+        bundles, label, bids, lambda b: 1.0
+    )
+    assert greedy_by_density(bundles, label, bids) == _quadratic_greedy(
+        bundles, label, bids, lambda b: float(b.weight)
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_incremental_greedies_equal_quadratic_reference(seed):
+    rng = random.Random(100 + seed)
+    bundles = _order_sensitive_bundles(rng, 7)
+    for label in (GATE, builder_label(1)):
+        _assert_greedies_match(bundles, label)
+        zeroed = {i: ConstantBid(0.0) for i in sorted(bundles)[::2]}
+        _assert_greedies_match(bundles, label, zeroed)
+
+
+def test_incremental_greedies_on_zero_bids_and_ties():
+    shared = key("hot")
+    ties = {
+        i: make_bundle(i, 7, writes={shared} if i % 2 else {key(f"x{i}")}, weight=1 + i % 3)
+        for i in (5, 1, 4, 2, 3)
+    }
+    _assert_greedies_match(ties, builder_label(0))
+    zeros = {i: make_bundle(i, 0, writes={shared}) for i in (1, 2, 3)}
+    assert greedy_by_bid(zeros, builder_label(0)) == ()
+    _assert_greedies_match(zeros, builder_label(0))
+    gated = {
+        1: make_bundle(1, 9, writes={shared}, gate=GATE),
+        2: make_bundle(2, bid=TableBid({"1": 50.0}, 4.0), reads={shared}),
+        3: make_bundle(3, 9, writes={shared}),
+    }
+    for label in (GATE, builder_label(1)):
+        _assert_greedies_match(gated, label)
+
+
+@pytest.mark.parametrize("name", ["realistic-3", "stress-5", "settle-400"])
+def test_incremental_greedies_on_generated_scenarios(name):
+    bundles = SCENARIOS[name]().bundle_map()
+    _assert_greedies_match(bundles, builder_label(0))
+
+
+# -- reuse of the default block by builders --------------------------------
+
+
+class _RebuildDefault(BuilderAlgorithm):
+    """copy-default/half-default as they ran before reuse: the default
+    algorithm rerun under the builder's label."""
+
+    def __init__(self, divisor: float):
+        self.divisor = divisor
+
+    def produce(self, bundles, bids, env):
+        block = block_building(bundles, env.k_cutoff, env.seed, env.label, bids)
+        return block, block_total_bid(block, bundles, env.label, bids) / self.divisor
+
+
+class _EnvSpy(BuilderAlgorithm):
+    def __init__(self):
+        self.envs = []
+
+    def produce(self, bundles, bids, env):
+        self.envs.append(env)
+        return (), 0.0
+
+
+def _lineups():
+    reusing = [CopyDefaultBuilder(), HalfDefaultBuilder(), GreedyBidBuilder()]
+    rebuilding = [_RebuildDefault(1.0), _RebuildDefault(2.0), GreedyBidBuilder()]
+    return reusing, rebuilding
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_default_reuse_equals_rebuild(name):
+    scenario = SCENARIOS[name]()
+    reusing, rebuilding = _lineups()
+    assert run_mechanism(scenario, builders=reusing) == run_mechanism(
+        scenario, builders=rebuilding
+    )
+
+
+def _gate(scenario, bundle_id: int, label):
+    return replace(
+        scenario,
+        bundles=tuple(
+            replace(b, gate=label) if b.id == bundle_id else b
+            for b in scenario.bundles
+        ),
+    )
+
+
+def _offered_default(scenario, bids=None):
+    spy = _EnvSpy()
+    outcome = run_mechanism(scenario, bids=bids, builders=[spy])
+    return spy.envs[0].default_block, outcome
+
+
+def test_default_block_is_offered_only_when_label_invariant():
+    offered, outcome = _offered_default(example2_scenario())
+    assert offered == outcome.default_block == (2, 1)
+    gated_bid = {1: GatedBid(GATE, ConstantBid(1.0))}
+    assert _offered_default(example2_scenario(), gated_bid)[0] is None
+
+    # The integration fixture with a gated core bundle: reuse must not
+    # apply, and the builders rebuild under their own labels.
+    fixture = integration_fixture()
+    core_gated = _gate(fixture, 1, GATE)
+    assert _offered_default(core_gated)[0] is None
+    # Integrating the conflict-free bundle (what the integration sweeps do)
+    # gates a bundle outside the core that builders see, so reuse applies.
+    integrated = _gate(fixture, 3, GATE)
+    assert 3 in _offered_default(integrated)[1].conflict_free
+    assert _offered_default(integrated)[0] == (2, 1)
+    for scenario in (core_gated, integrated):
+        reusing, rebuilding = _lineups()
+        assert run_mechanism(scenario, builders=reusing) == run_mechanism(
+            scenario, builders=rebuilding
+        )
+
+
+def test_gated_override_runs_match_rebuild():
+    scenario = generate_scenario(PROFILES["realistic"], 11)
+    free = conflict_free_set(get_conflict_groups(scenario.bundles))
+    first = min(b.id for b in scenario.bundles if b.id not in free)
+    bids = {first: GatedBid(builder_label(0), ConstantBid(500.0))}
+    assert _offered_default(scenario, bids)[0] is None
+    reusing, rebuilding = _lineups()
+    assert run_mechanism(scenario, bids=bids, builders=reusing) == run_mechanism(
+        scenario, bids=bids, builders=rebuilding
+    )

@@ -104,6 +104,29 @@ def test_bid_functions_reject_negative_values():
         TableBid({"1": -2.0}, 0.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_bid_functions_reject_non_finite_values(bad):
+    with pytest.raises(ModelError, match="non-finite|negative"):
+        ConstantBid(bad)
+    with pytest.raises(ModelError, match="non-finite|negative"):
+        TableBid({"1": bad}, 0.0)
+    with pytest.raises(ModelError, match="non-finite|negative"):
+        TableBid({}, bad)
+
+
+def test_table_bid_is_detached_from_the_callers_dict():
+    source = {"1": 5.0}
+    fn = TableBid(source, 2.0)
+    source["1"] = 99.0
+    source["2"] = 7.0
+    assert dict(fn.entries) == {"1": 5.0}
+    assert fn.evaluate(ExecutionContext((1,), LABEL)) == 5.0
+    assert fn.evaluate(ExecutionContext((2,), LABEL)) == 2.0
+    assert fn == TableBid({"1": 5.0}, 2.0)
+    with pytest.raises(TypeError):
+        fn.entries["1"] = 0.0
+
+
 def test_scenario_rejects_duplicate_ids():
     with pytest.raises(ModelError, match="duplicate"):
         Scenario(bundles=(make_bundle(1, 1), make_bundle(1, 2)))
