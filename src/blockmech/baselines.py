@@ -106,7 +106,6 @@ class ComparisonReport:
 def compare_algorithms(
     scenario: Scenario,
     oracle_limit: int = DEFAULT_OMEGA_LIMIT,
-    threads: int = 1,
 ) -> ComparisonReport:
     """Run the default algorithm, both greedies, and (when the instance is
     small enough) the exact oracle, all valued under one common label."""
@@ -122,7 +121,7 @@ def compare_algorithms(
     runtimes: dict = {}
     runs = {
         "default": lambda: block_building(
-            bundles, scenario.k_cutoff, scenario.seed, coinbase, threads=threads
+            bundles, scenario.k_cutoff, scenario.seed, coinbase
         ),
         "greedy-bid": lambda: greedy_by_bid(bundles, coinbase),
         "greedy-density": lambda: greedy_by_density(bundles, coinbase),

@@ -85,12 +85,7 @@ def _cmd_build(args) -> int:
     bundles = scenario.bundle_map()
     coinbase = one_time_label(scenario.seed)
     block, resolutions = build_with_resolutions(
-        bundles,
-        scenario.k_cutoff,
-        scenario.seed,
-        coinbase,
-        weight_cap=args.weight_cap,
-        threads=args.threads,
+        bundles, scenario.k_cutoff, scenario.seed, coinbase
     )
     total = block_total_bid(block, bundles, coinbase)
     body = {
@@ -126,7 +121,7 @@ def _cmd_build(args) -> int:
     ]
     if args.counterfactuals:
         counter = counterfactual_blocks(
-            bundles, scenario.k_cutoff, scenario.seed, coinbase, threads=args.threads
+            bundles, scenario.k_cutoff, scenario.seed, coinbase
         )
         rows = []
         body["counterfactuals"] = {}
@@ -192,7 +187,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_mechanism(args) -> int:
     scenario = _load_with_overrides(args)
-    outcome = run_mechanism(scenario, threads=args.threads)
+    outcome = run_mechanism(scenario)
     winner = (
         "default"
         if outcome.winning_builder is None
@@ -321,7 +316,7 @@ def _cmd_compare(args) -> int:
         scenario = replace(scenario, seed=args.seed)
     if args.k_cutoff is not None:
         scenario = replace(scenario, k_cutoff=args.k_cutoff)
-    report = compare_algorithms(scenario, threads=args.threads)
+    report = compare_algorithms(scenario)
     body = {
         "values": report.values,
         "runtime_seconds": report.runtimes,
@@ -571,21 +566,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True):
-        if scenario:
-            p.add_argument("scenario", help="scenario file (JSON)")
-            p.add_argument("--seed", type=int, default=None, help="override seed")
-            p.add_argument(
-                "--k-cutoff", type=int, default=None, help="override k_cutoff"
-            )
-        p.add_argument("--threads", type=int, default=1)
+    def common(p):
+        p.add_argument("scenario", help="scenario file (JSON)")
+        p.add_argument("--seed", type=int, default=None, help="override seed")
+        p.add_argument("--k-cutoff", type=int, default=None, help="override k_cutoff")
         p.add_argument("--format", choices=("table", "json"), default="table")
         p.add_argument("--out", default=None, help="write a JSON report here")
 
     p = sub.add_parser("build", help="run the default block-building algorithm")
     common(p)
     p.add_argument("--counterfactuals", action="store_true")
-    p.add_argument("--weight-cap", type=int, default=None)
     p.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser("oracle", help="exact enumeration outcome (small instances)")

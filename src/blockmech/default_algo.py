@@ -4,7 +4,10 @@ Bundles are partitioned into conflict groups and each group is resolved
 independently: small groups by exhaustive search over every ordered subset,
 large groups by structural shortcuts (a shared pivot transaction, or a
 single common target contract) and, as a last resort, by deterministic
-truncation to a subset small enough to enumerate.
+truncation to a subset small enough to enumerate. One seeded member order
+serves both the same-target candidate and the truncation ranking. Groups
+are resolved one after another in the calling thread; the only worker pool
+in the package runs whole scenarios, in `harness`.
 
 The candidate sub-blocks considered for a group depend only on the group's
 membership, the cutoff, the seed, and the declared transaction structure,
@@ -30,7 +33,6 @@ from .model import (
     ZERO_BID,
     as_bundle_map,
     one_time_label,
-    ordered_map,
 )
 
 DEFAULT_K_CUTOFF = 8
@@ -83,24 +85,21 @@ def _order_hash(seed: int, tx_hash: str) -> str:
     ).hexdigest()
 
 
-def select_subset(group: ConflictGroup, bundles, k: int, seed: int) -> list:
-    """Deterministic top-k of a group: members ordered by the seeded hash of
-    their first tx hash, ties by id."""
-    members = group.sorted_members()
-    if k >= len(members):
-        return members
-    by_id = as_bundle_map(bundles)
-    ranked = sorted(
-        members, key=lambda i: (_order_hash(seed, by_id[i].txs[0].tx_hash), i)
-    )
-    return ranked[:k]
-
-
-def _seeded_shuffle(members: list, seed: int, bundles) -> list:
+def _seeded_order(members, bundles, seed: int) -> list:
+    """Members ordered by the seeded hash of their first tx hash, ties by id.
+    Used both as the SAME_TARGET candidate and as the truncation ranking."""
     by_id = as_bundle_map(bundles)
     return sorted(
         members, key=lambda i: (_order_hash(seed, by_id[i].txs[0].tx_hash), i)
     )
+
+
+def select_subset(group: ConflictGroup, bundles, k: int, seed: int) -> list:
+    """Deterministic top-k of a group in the seeded order."""
+    members = group.sorted_members()
+    if k >= len(members):
+        return members
+    return _seeded_order(members, bundles, seed)[:k]
 
 
 def _ordered_subsets(members: list) -> Iterator[Block]:
@@ -116,11 +115,7 @@ def classify_group(group: ConflictGroup, bundles, k_cutoff: int) -> Strategy:
 
 
 def candidate_set(
-    group: ConflictGroup,
-    bundles,
-    k_cutoff: int,
-    seed: int,
-    weight_cap: Optional[int] = None,
+    group: ConflictGroup, bundles, k_cutoff: int, seed: int
 ) -> Iterator[Block]:
     """Candidate sub-blocks for one group, in canonical enumeration order.
 
@@ -131,21 +126,14 @@ def candidate_set(
     strategy = classify_group(group, bundles, k_cutoff)
     members = group.sorted_members()
     if strategy is Strategy.ENUMERATED:
-        candidates = _ordered_subsets(members)
+        yield from _ordered_subsets(members)
     elif strategy is Strategy.SHARED_PIVOT:
-        candidates = ((i,) for i in members)
+        yield from ((i,) for i in members)
     elif strategy is Strategy.SAME_TARGET:
-        candidates = iter([tuple(_seeded_shuffle(members, seed, bundles))])
+        yield tuple(_seeded_order(members, bundles, seed))
     else:
         selected = sorted(select_subset(group, bundles, k_cutoff - 1, seed))
-        candidates = _ordered_subsets(selected)
-    if weight_cap is None:
-        yield from candidates
-        return
-    by_id = as_bundle_map(bundles)
-    for block in candidates:
-        if sum(by_id[i].weight for i in block) <= weight_cap:
-            yield block
+        yield from _ordered_subsets(selected)
 
 
 class _GroupEvaluator:
@@ -219,7 +207,6 @@ def resolve_group(
     seed: int,
     coinbase: CoinbaseLabel,
     bids: Optional[Mapping] = None,
-    weight_cap: Optional[int] = None,
     transcript: Optional[list] = None,
 ) -> GroupResolution:
     """Exact argmax of the total bid over the group's candidate set.
@@ -233,14 +220,12 @@ def resolve_group(
     evaluator = _GroupEvaluator(group_bundles, coinbase, bids)
     best: Optional[Block] = None
     best_value = 0.0
-    for block in candidate_set(group, group_bundles, k_cutoff, seed, weight_cap):
+    for block in candidate_set(group, group_bundles, k_cutoff, seed):
         if transcript is not None:
             transcript.append(block)
         value, _ = evaluator.values(block)
         if best is None or value > best_value:
             best, best_value = block, value
-    if best is None:  # a weight cap can exhaust the candidate set
-        best, best_value = (), 0.0
     return GroupResolution(
         group, classify_group(group, bundles, k_cutoff), best, best_value
     )
@@ -295,8 +280,6 @@ def build_with_resolutions(
     seed: int = 0,
     coinbase: Optional[CoinbaseLabel] = None,
     bids: Optional[Mapping] = None,
-    weight_cap: Optional[int] = None,
-    threads: int = 1,
 ) -> tuple:
     """Resolve every group and concatenate the sub-blocks.
 
@@ -307,12 +290,10 @@ def build_with_resolutions(
     by_id = as_bundle_map(bundles)
     if coinbase is None:
         coinbase = one_time_label(seed)
-    groups = get_conflict_groups(by_id)
-    resolutions = ordered_map(
-        lambda g: resolve_group(g, by_id, k_cutoff, seed, coinbase, bids, weight_cap),
-        groups,
-        threads,
-    )
+    resolutions = [
+        resolve_group(g, by_id, k_cutoff, seed, coinbase, bids)
+        for g in get_conflict_groups(by_id)
+    ]
     block = tuple(i for res in resolutions for i in res.sub_block)
     return block, resolutions
 
@@ -323,12 +304,8 @@ def block_building(
     seed: int = 0,
     coinbase: Optional[CoinbaseLabel] = None,
     bids: Optional[Mapping] = None,
-    weight_cap: Optional[int] = None,
-    threads: int = 1,
 ) -> Block:
-    block, _ = build_with_resolutions(
-        bundles, k_cutoff, seed, coinbase, bids, weight_cap, threads
-    )
+    block, _ = build_with_resolutions(bundles, k_cutoff, seed, coinbase, bids)
     return block
 
 
@@ -339,7 +316,6 @@ def default_pass(
     seed: int,
     coinbase: CoinbaseLabel,
     bids: Optional[Mapping] = None,
-    threads: int = 1,
 ) -> list:
     """One default-algorithm pass over the given conflict groups of
     `bundles`: per group, in order, the pair (GroupResolution,
@@ -349,13 +325,10 @@ def default_pass(
     member i's bid swaps in i's sub-block for its own group only.
     """
     by_id = as_bundle_map(bundles)
-    return ordered_map(
-        lambda g: resolve_group_with_counterfactuals(
-            g, by_id, k_cutoff, seed, coinbase, bids
-        ),
-        groups,
-        threads,
-    )
+    return [
+        resolve_group_with_counterfactuals(g, by_id, k_cutoff, seed, coinbase, bids)
+        for g in groups
+    ]
 
 
 def counterfactual_blocks(
@@ -364,7 +337,6 @@ def counterfactual_blocks(
     seed: int = 0,
     coinbase: Optional[CoinbaseLabel] = None,
     bids: Optional[Mapping] = None,
-    threads: int = 1,
 ) -> dict:
     """For each bundle i, the block built with i's bid forced to zero.
 
@@ -378,7 +350,7 @@ def counterfactual_blocks(
     if coinbase is None:
         coinbase = one_time_label(seed)
     resolved = default_pass(
-        get_conflict_groups(by_id), by_id, k_cutoff, seed, coinbase, bids, threads
+        get_conflict_groups(by_id), by_id, k_cutoff, seed, coinbase, bids
     )
     out = {}
     for slot, (_, counterfactuals) in enumerate(resolved):

@@ -4,6 +4,11 @@ Every sweep is a pure function of (count, base seed): scenario i uses a seed
 derived arithmetically from the base, profiles rotate by index, and subjects
 are drawn from a per-scenario RNG. Failures carry enough detail to replay
 the offending scenario.
+
+The per-scenario loops of the `verify_*` sweeps and of `compare_sweep` are
+the package's only `model.ordered_map` call sites: `threads` sizes the pool
+over scenarios, and results are collected in index order, so the thread
+count never changes a result. Everything below a scenario runs sequentially.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, replace
 from .baselines import compare_algorithms
 from .conflict import conflict_free_set, get_conflict_groups
 from .default_algo import block_building, resolve_group
-from .model import ConstantBid, Scenario, block_total_bid, one_time_label
+from .model import ConstantBid, Scenario, block_total_bid, one_time_label, ordered_map
 from .mechanism import run_mechanism
 from .oracle import vcg_outcome
 from .strategies import (
@@ -73,13 +78,19 @@ def _mixed_scenario(index: int, base_seed: int) -> Scenario:
     return with_builders(scenario, _BUILDER_ROTATION[index % len(_BUILDER_ROTATION)])
 
 
+def _failures(check, items, threads: int) -> tuple:
+    """Run `check` on every item, `threads` at a time, and concatenate the
+    failure lists it returns in item order."""
+    return tuple(f for fs in ordered_map(check, items, threads) for f in fs)
+
+
 def verify_budget_and_refunds(n: int, seed: int, threads: int = 1) -> HarnessResult:
     """Every refund non-negative and total outflows within total inflows,
     over mixed profiles with 0-3 registered builders."""
-    failures = []
-    for i in range(n):
-        scenario = _mixed_scenario(i, seed)
-        outcome = run_mechanism(scenario, threads=threads)
+
+    def check(i: int) -> list:
+        outcome = run_mechanism(_mixed_scenario(i, seed))
+        failures = []
         bad_refund = [
             j for j, e in outcome.searcher_ledger.items() if e.refund < 0
         ] + [j for j, e in outcome.builder_ledger.items() if e.refund < 0]
@@ -90,14 +101,18 @@ def verify_budget_and_refunds(n: int, seed: int, threads: int = 1) -> HarnessRes
                 f"scenario {i}: outflow {outcome.total_outflow} exceeds "
                 f"inflow {outcome.total_inflow}"
             )
-    return HarnessResult("budget-and-refunds", n, tuple(failures), {})
+        return failures
+
+    return HarnessResult(
+        "budget-and-refunds", n, _failures(check, range(n), threads), {}
+    )
 
 
 def verify_searcher_dsic(n: int, seed: int, threads: int = 1) -> HarnessResult:
     """Searcher truthfulness when the default algorithm dominates: builders
     restricted to dominated stubs, one randomly designated subject each."""
-    failures = []
-    for i in range(n):
+
+    def check(i: int) -> list:
         profile = _SWEEP_PROFILE if i % 2 == 0 else PROFILES["full-conflict"]
         scenario = generate_scenario(profile, _subseed(seed, i))
         scenario = with_builders(scenario, _DOMINATED_STUBS)
@@ -106,13 +121,15 @@ def verify_searcher_dsic(n: int, seed: int, threads: int = 1) -> HarnessResult:
         rng = random.Random(_subseed(seed, i) ^ 0x5EED)
         pool = core if core else sorted(b.id for b in scenario.bundles)
         subject = pool[rng.randrange(len(pool))]
-        report = searcher_deviation_sweep(scenario, subject, threads=threads)
-        if not report.dominant:
-            failures.append(
-                f"scenario {i}: searcher {subject} gains via {report.witness} "
-                f"({report.truthful_utility} -> {report.best_deviation_utility})"
-            )
-    return HarnessResult("dsic-searcher", n, tuple(failures), {})
+        report = searcher_deviation_sweep(scenario, subject)
+        if report.dominant:
+            return []
+        return [
+            f"scenario {i}: searcher {subject} gains via {report.witness} "
+            f"({report.truthful_utility} -> {report.best_deviation_utility})"
+        ]
+
+    return HarnessResult("dsic-searcher", n, _failures(check, range(n), threads), {})
 
 
 def verify_builder_dsic(n: int, seed: int, threads: int = 1) -> HarnessResult:
@@ -123,51 +140,63 @@ def verify_builder_dsic(n: int, seed: int, threads: int = 1) -> HarnessResult:
         ("greedy-bid", "greedy-density", "empty"),
         ("copy-default",),
     )
-    failures = []
-    for i in range(n):
+
+    def check(i: int) -> list:
         scenario = generate_scenario(_SWEEP_PROFILE, _subseed(seed, i))
         scenario = with_builders(scenario, lineups[i % len(lineups)])
         rng = random.Random(_subseed(seed, i) ^ 0xB1D)
         subject = rng.randrange(len(scenario.builders))
-        report = builder_deviation_sweep(scenario, subject, threads=threads)
-        if not report.dominant:
-            failures.append(
-                f"scenario {i}: builder {subject} gains via {report.witness} "
-                f"({report.truthful_utility} -> {report.best_deviation_utility})"
-            )
-    return HarnessResult("dsic-builder", n, tuple(failures), {})
+        report = builder_deviation_sweep(scenario, subject)
+        if report.dominant:
+            return []
+        return [
+            f"scenario {i}: builder {subject} gains via {report.witness} "
+            f"({report.truthful_utility} -> {report.best_deviation_utility})"
+        ]
+
+    return HarnessResult("dsic-builder", n, _failures(check, range(n), threads), {})
 
 
 def verify_integration(n: int, seed: int, threads: int = 1) -> HarnessResult:
     """Conflict-free dominance: across arbitrary builder line-ups, neither
     misreporting nor integrating ever beats participate-and-bid-truthfully
-    in joint utility."""
+    in joint utility.
+
+    Scenarios without a conflict-free bundle are skipped, so the draw of
+    scenarios, subjects and builders is sequential; only the games run on
+    the pool."""
     lineups = (
         ("greedy-bid", "empty"),
         ("copy-default", "greedy-density"),
         ("copy-default", "greedy-bid", "empty"),
     )
-    failures = []
-    checked = 0
+    games = []  # (attempt index, scenario, subject, builder)
     attempt = 0
-    while checked < n and attempt < 10 * n:
+    while len(games) < n and attempt < 10 * n:
         scenario = generate_scenario(_SWEEP_PROFILE, _subseed(seed, attempt))
         attempt += 1
         free = sorted(conflict_free_set(get_conflict_groups(scenario.bundles)))
         if not free:
             continue
-        scenario = with_builders(scenario, lineups[checked % len(lineups)])
+        scenario = with_builders(scenario, lineups[len(games) % len(lineups)])
         rng = random.Random(_subseed(seed, attempt) ^ 0x1A7E)
         subject = free[rng.randrange(len(free))]
         builder = rng.randrange(len(scenario.builders))
-        report = integration_game(scenario, subject, builder, threads=threads)
-        if not report.dominant:
-            failures.append(
-                f"scenario {attempt - 1}: pair ({subject}, builder {builder}) "
-                f"gains via {report.witness}"
-            )
-        checked += 1
-    return HarnessResult("integration", checked, tuple(failures), {})
+        games.append((attempt - 1, scenario, subject, builder))
+
+    def check(game) -> list:
+        index, scenario, subject, builder = game
+        report = integration_game(scenario, subject, builder)
+        if report.dominant:
+            return []
+        return [
+            f"scenario {index}: pair ({subject}, builder {builder}) "
+            f"gains via {report.witness}"
+        ]
+
+    return HarnessResult(
+        "integration", len(games), _failures(check, games, threads), {}
+    )
 
 
 def verify_candidate_independence(n: int, seed: int) -> HarnessResult:
@@ -228,18 +257,21 @@ def compare_sweep(profile, n: int, seed: int, threads: int = 1) -> HarnessResult
     `profile` is a builtin profile name or a Profile instance.
     """
     profile = PROFILES[profile] if isinstance(profile, str) else profile
+
+    def compare(i: int) -> tuple:
+        scenario = generate_scenario(profile, _subseed(seed, i))
+        return scenario.seed, compare_algorithms(scenario)
+
     best_count = 0
     witnesses = []
     runtimes: dict = {}
-    for i in range(n):
-        scenario = generate_scenario(profile, _subseed(seed, i))
-        report = compare_algorithms(scenario, threads=threads)
+    for scenario_seed, report in ordered_map(compare, range(n), threads):
         if report.default_is_best:
             best_count += 1
         else:
             witnesses.append(
                 {
-                    "seed": scenario.seed,
+                    "seed": scenario_seed,
                     "values": report.values,
                     "gap_absolute": report.gap_absolute,
                     "gap_relative": report.gap_relative,

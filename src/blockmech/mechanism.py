@@ -10,6 +10,12 @@ group. Builder algorithms then compete on the same core; the best builder
 bid faces a second-price rule with the default block's value as the
 reserve. Searcher refunds are identical no matter which side wins.
 
+Settlement has one ledger path. The auction picks the core block, the
+coinbase label and the reserve (β0 when the default wins, max(β0, β′) when
+a builder does); the final block, the charges, both ledgers and the
+proposer's revenue (reserve minus the refunds) follow from those three.
+Builders run one after another in the calling thread.
+
 An alternative refund rule driven by builder-reported counterfactual bids is
 also provided. It is deliberately vulnerable to builder-searcher collusion
 and exists only so the demos can exhibit the exploit; `run_mechanism` never
@@ -36,7 +42,6 @@ from .model import (
     block_total_bid,
     builder_label,
     one_time_label,
-    ordered_map,
     validate_builder_block,
 )
 
@@ -295,7 +300,6 @@ def run_mechanism(
     scenario: Scenario,
     bids: Optional[Mapping] = None,
     builders: Optional[Sequence[BuilderAlgorithm]] = None,
-    threads: int = 1,
 ) -> MechanismOutcome:
     """Execute the full mechanism on a scenario.
 
@@ -318,8 +322,8 @@ def run_mechanism(
     free = conflict_free_set(groups)
     core = {i: b for i, b in by_id.items() if i not in free}
 
-    # Phase 1: default run under a fresh one-time label; refunds are fixed
-    # here and never revisited.
+    # Default run under a fresh one-time label; refunds are fixed here and
+    # never revisited.
     label0 = one_time_label(scenario.seed)
     resolved = default_pass(
         [g for g in groups if len(g) > 1],
@@ -328,7 +332,6 @@ def run_mechanism(
         scenario.seed,
         label0,
         bids,
-        threads,
     )
     o_star = tuple(i for res, _ in resolved for i in res.sub_block)
     beta0 = block_total_bid(o_star, core, label0, bids)
@@ -340,84 +343,49 @@ def run_mechanism(
     refunds = {i: group_refunds[i] for i in core}  # id order: summed below
     reuse = o_star if _label_invariant(core, bids) else None
 
-    # Phase 2: builder competition on the same core, each under its own
-    # fixed label, isolated from one another.
-    def run_builder(item):
-        index, algo = item
+    # Builder competition on the same core, each under its own fixed label.
+    entries = {}  # builder index -> (block, bid, disqualified)
+    for index, algo in enumerate(builders):
         env = BuilderEnv(
             builder_label(index), scenario.k_cutoff, scenario.seed, reuse
         )
         try:
             block, beta = algo.produce(core, bids, env)
         except Exception:
-            return index, (), 0.0, True
+            block, beta = (), None  # disqualified below
         block = tuple(block)
-        bad = (
+        if (
             validate_builder_block(block, core) is not None
             or not isinstance(beta, (int, float))
             or not math.isfinite(beta)
             or beta < 0
-        )
-        if bad:
-            return index, (), 0.0, True
-        return index, block, float(beta), False
+        ):
+            entries[index] = ((), 0.0, True)
+        else:
+            entries[index] = (block, float(beta), False)
 
-    produced = ordered_map(run_builder, list(enumerate(builders)), threads)
+    beta_star, top = 0.0, None
+    for index, (_, beta, dq) in entries.items():
+        if not dq and (top is None or beta > beta_star):
+            beta_star, top = beta, index
+    beta_prime = max(
+        [0.0]
+        + [beta for index, (_, beta, dq) in entries.items() if not dq and index != top]
+    )
 
-    beta_star, winner_index = 0.0, None
-    for index, block, beta, disqualified in produced:
-        if disqualified:
-            continue
-        if winner_index is None or beta > beta_star:
-            beta_star, winner_index = beta, index
-    beta_prime = 0.0
-    for index, block, beta, disqualified in produced:
-        if disqualified or index == winner_index:
-            continue
-        beta_prime = max(beta_prime, beta)
-
-    entries = {index: (block, beta, dq) for index, block, beta, dq in produced}
-
-    if winner_index is None or beta0 >= beta_star:
-        # Default algorithm wins (ties included). Charges are evaluated on
-        # the final block under the default run's label; appending the
-        # conflict-free tail cannot change any core bundle's context.
-        final = _append_conflict_free(o_star, free, by_id)
-        charges = block_bids(final, by_id, label0, bids)
-        searcher_ledger = {
-            i: LedgerEntry(
-                charge=charges.get(i, 0.0),
-                refund=charges.get(i, 0.0) if i in free else refunds[i],
-            )
-            for i in by_id
-        }
-        builder_ledger = {
-            index: BuilderEntry(0.0, 0.0, block, beta, dq)
-            for index, (block, beta, dq) in entries.items()
-        }
-        proposer = beta0 - sum(refunds.values())
-        return MechanismOutcome(
-            final_block=final,
-            final_coinbase=label0,
-            winning_builder=None,
-            beta0=beta0,
-            beta_star=beta_star,
-            beta_prime=beta_prime,
-            default_block=o_star,
-            conflict_free=free,
-            searcher_ledger=searcher_ledger,
-            builder_ledger=builder_ledger,
-            proposer_revenue=proposer,
-        )
-
-    # A builder wins: searchers pay their bids in the final block to the
-    # builder, the builder pays its bid plus the conflict-free tail's bids
-    # to the mechanism and is refunded the second-price surplus. Core
-    # refunds are the phase-1 values, unchanged.
-    win_block, win_beta, _ = entries[winner_index]
-    label_w = builder_label(winner_index)
-    final = _append_conflict_free(win_block, free, by_id)
-    charges = block_bids(final, by_id, label_w, bids)
+    # Second-price rule with the default block's value as the reserve; the
+    # default wins ties. Searchers pay their bids in the final block (to the
+    # mechanism, or to the winning builder, which pays its bid plus the
+    # conflict-free tail's bids and is refunded its surplus over the
+    # reserve). Appending the tail cannot change any core bundle's context,
+    # and core refunds are the default run's, whoever wins.
+    if top is None or beta0 >= beta_star:
+        winner, core_block, label, reserve = None, o_star, label0, beta0
+    else:
+        winner, label = top, builder_label(top)
+        core_block, reserve = entries[top][0], max(beta0, beta_prime)
+    final = _append_conflict_free(core_block, free, by_id)
+    charges = block_bids(final, by_id, label, bids)
     free_total = sum(charges.get(i, 0.0) for i in free)
     searcher_ledger = {
         i: LedgerEntry(
@@ -428,21 +396,18 @@ def run_mechanism(
     }
     builder_ledger = {
         index: BuilderEntry(
-            payment=win_beta + free_total if index == winner_index else 0.0,
-            refund=beta_star - max(beta0, beta_prime)
-            if index == winner_index
-            else 0.0,
+            payment=beta + free_total if index == winner else 0.0,
+            refund=beta_star - reserve if index == winner else 0.0,
             block=block,
             bid=beta,
             disqualified=dq,
         )
         for index, (block, beta, dq) in entries.items()
     }
-    proposer = max(beta0, beta_prime) - sum(refunds.values())
     return MechanismOutcome(
         final_block=final,
-        final_coinbase=label_w,
-        winning_builder=winner_index,
+        final_coinbase=label,
+        winning_builder=winner,
         beta0=beta0,
         beta_star=beta_star,
         beta_prime=beta_prime,
@@ -450,7 +415,7 @@ def run_mechanism(
         conflict_free=free,
         searcher_ledger=searcher_ledger,
         builder_ledger=builder_ledger,
-        proposer_revenue=proposer,
+        proposer_revenue=reserve - sum(refunds.values()),
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from typing import Optional
 
 from .model import (
     BuilderSpec,
@@ -33,10 +34,32 @@ class ScenarioParseError(ValueError):
         super().__init__(f"{location}: {message}")
 
 
-def _require(record: dict, key: str, where: str):
-    if key not in record:
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioParseError(where, f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _require(record, key: str, where: str):
+    if key not in _object(record, where):
         raise ScenarioParseError(where, f"missing required field '{key}'")
     return record[key]
+
+
+def _int(value, where: str, minimum: Optional[int] = None) -> int:
+    """A JSON integer. Bools, floats and strings are refused, never
+    truncated or coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioParseError(where, f"expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ScenarioParseError(where, f"must be >= {minimum}, got {value}")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioParseError(where, f"expected a list, got {type(value).__name__}")
+    return value
 
 
 def _bid_to_dict(fn) -> dict:
@@ -57,32 +80,32 @@ def _bid_to_dict(fn) -> dict:
     raise TypeError(f"unknown bid function type {type(fn).__name__}")
 
 
-def _bid_value(value, where: str) -> float:
+def _number(value, where: str) -> float:
     """A finite number; NaN and infinities would poison every sum they
     enter, so they are refused where the file states them."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioParseError(where, f"expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ScenarioParseError(where, f"bid values must be finite, got {value}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ScenarioParseError(where, f"values must be finite, got {value}")
     return float(value)
 
 
 def _bid_from_dict(record, where: str):
-    if not isinstance(record, dict):
-        raise ScenarioParseError(where, "expected an object with a 'variant' field")
     variant = _require(record, "variant", where)
     if variant == "constant":
-        return ConstantBid(_bid_value(_require(record, "value", where), f"{where}.value"))
+        return ConstantBid(_number(_require(record, "value", where), f"{where}.value"))
     if variant == "table":
-        entries = _require(record, "entries", where)
-        if not isinstance(entries, dict):
-            raise ScenarioParseError(f"{where}.entries", "expected an object")
+        entries = _object(_require(record, "entries", where), f"{where}.entries")
         return TableBid(
             {
-                str(k): _bid_value(v, f"{where}.entries[{json.dumps(k)}]")
+                str(k): _number(v, f"{where}.entries[{json.dumps(k)}]")
                 for k, v in entries.items()
             },
-            _bid_value(_require(record, "default", where), f"{where}.default"),
+            _number(_require(record, "default", where), f"{where}.default"),
         )
     if variant == "gated":
         return GatedBid(
@@ -98,7 +121,7 @@ def _keys_to_list(keys) -> list:
 
 def _keys_from_list(records, where: str) -> frozenset:
     keys = []
-    for n, rec in enumerate(records):
+    for n, rec in enumerate(_list(records, where)):
         loc = f"{where}[{n}]"
         keys.append(
             StorageKey(str(_require(rec, "address", loc)), str(_require(rec, "slot", loc)))
@@ -121,18 +144,20 @@ def bundle_to_dict(b: Bundle) -> dict:
 
 def bundle_from_dict(record, where: str) -> Bundle:
     txs = []
-    for n, rec in enumerate(_require(record, "txs", where)):
+    for n, rec in enumerate(_list(_require(record, "txs", where), f"{where}.txs")):
         loc = f"{where}.txs[{n}]"
         txs.append(
             TxRef(str(_require(rec, "hash", loc)), str(_require(rec, "target", loc)))
         )
     gate = record.get("gate")
+    weight = _int(record.get("weight", 1), f"{where}.weight", minimum=1)
+    _number(weight, f"{where}.weight")  # density ordering divides by it as a float
     return Bundle(
-        id=int(_require(record, "id", where)),
+        id=_int(_require(record, "id", where), f"{where}.id"),
         txs=tuple(txs),
         reads=_keys_from_list(record.get("reads", []), f"{where}.reads"),
         writes=_keys_from_list(record.get("writes", []), f"{where}.writes"),
-        weight=int(record.get("weight", 1)),
+        weight=weight,
         gate=None if gate is None else CoinbaseLabel(str(gate)),
         bid=_bid_from_dict(_require(record, "bid", where), f"{where}.bid"),
         valuation=_bid_from_dict(
@@ -154,23 +179,23 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(record) -> Scenario:
-    if not isinstance(record, dict):
-        raise ScenarioParseError("$", "scenario file must contain a JSON object")
     bundles = [
         bundle_from_dict(rec, f"bundles[{n}]")
-        for n, rec in enumerate(_require(record, "bundles", "$"))
+        for n, rec in enumerate(_list(_require(record, "bundles", "$"), "bundles"))
     ]
     builders = []
-    for n, rec in enumerate(record.get("builders", [])):
+    for n, rec in enumerate(_list(record.get("builders", []), "builders")):
         loc = f"builders[{n}]"
-        builders.append(
-            BuilderSpec(str(_require(rec, "name", loc)), dict(rec.get("params", {})))
-        )
+        name = str(_require(rec, "name", loc))
+        params = _object(rec.get("params", {}), f"{loc}.params")
+        for key, value in params.items():
+            _number(value, f"{loc}.params.{key}")
+        builders.append(BuilderSpec(name, dict(params)))
     return Scenario(
         bundles=tuple(bundles),
         builders=tuple(builders),
-        k_cutoff=int(_require(record, "k_cutoff", "$")),
-        seed=int(_require(record, "seed", "$")),
+        k_cutoff=_int(_require(record, "k_cutoff", "$"), "k_cutoff", minimum=1),
+        seed=_int(_require(record, "seed", "$"), "seed"),
     )
 
 
@@ -183,9 +208,10 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 
 def load_scenario(path) -> Scenario:
-    text = Path(path).read_text()
     try:
-        record = json.loads(text)
+        record = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
+    except (ValueError, RecursionError) as exc:  # bad bytes, huge ints, deep nesting
+        raise ScenarioParseError(str(path), str(exc)) from exc
     return scenario_from_dict(record)

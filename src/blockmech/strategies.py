@@ -35,7 +35,6 @@ from .model import (
     block_bids,
     block_total_bid,
     one_time_label,
-    ordered_map,
 )
 
 ABS_TOLERANCE = 1e-9
@@ -81,7 +80,6 @@ def searcher_deviation_sweep(
     i: int,
     transforms=None,
     tol: float = ABS_TOLERANCE,
-    threads: int = 1,
 ) -> DeviationReport:
     """Utility of bidding the true valuation versus every grid misreport.
 
@@ -99,7 +97,7 @@ def searcher_deviation_sweep(
 
     truthful = utility(truth)
     labels = [label for label, _ in transforms]
-    utilities = ordered_map(lambda t: utility(t[1]), transforms, threads)
+    utilities = [utility(fn) for _, fn in transforms]
     deviations = dict(zip(labels, utilities))
     best = max(utilities) if utilities else truthful
     dominant = truthful >= best - tol
@@ -135,7 +133,6 @@ def builder_deviation_sweep(
     j: int,
     offsets: Sequence = BUILDER_OFFSET_GRID,
     tol: float = ABS_TOLERANCE,
-    threads: int = 1,
 ) -> DeviationReport:
     """Second-price sanity sweep: shift builder j's bid around its truthful
     value, keeping its block fixed."""
@@ -152,7 +149,7 @@ def builder_deviation_sweep(
 
     truthful = utility(0.0)
     shifts = [o for o in offsets if o != 0.0]
-    utilities = ordered_map(utility, shifts, threads)
+    utilities = [utility(o) for o in shifts]
     deviations = {f"offset:{o:+g}": u for o, u in zip(shifts, utilities)}
     best = max(utilities) if utilities else truthful
     dominant = truthful >= best - tol
@@ -191,7 +188,6 @@ def integration_game(
     transforms=None,
     offsets: Sequence = (-4.0, 0.0, 4.0),
     tol: float = ABS_TOLERANCE,
-    threads: int = 1,
 ) -> IntegrationReport:
     """Participate-vs-integrate meta-game for a conflict-free bundle.
 
@@ -237,8 +233,7 @@ def integration_game(
         for bid_label, bid_fn in [("truthful", truth)] + list(transforms):
             for offset in offsets:
                 cells.append((mode, bid_label, bid_fn, offset))
-    results = ordered_map(lambda c: joint(*c), cells, threads)
-    table = dict(results)
+    table = dict(joint(*c) for c in cells)
     desired = table["participate|bid=truthful|builder=+0"]
     best_label = max(table, key=lambda k: table[k])
     best = table[best_label]

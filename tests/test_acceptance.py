@@ -27,13 +27,12 @@ from blockmech.harness import (
 )
 from blockmech.model import one_time_label
 from blockmech.oracle import vcg_outcome
-from blockmech.scenario_io import save_scenario
 from blockmech.strategies import (
     BUILDER_OFFSET_GRID,
     budget_deficit_demo,
     collusion_demo,
 )
-from blockmech.workload import PROFILES, Profile, generate_scenario
+from blockmech.workload import Profile
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLE2 = str(REPO / "fixtures" / "example2.json")
@@ -212,30 +211,26 @@ def test_criterion_10_candidate_set_bid_independence():
 
 def test_criterion_11_thread_count_never_changes_output(tmp_path):
     t0 = time.perf_counter()
-    profiles = ("realistic", "no-conflict", "full-conflict", "stress-large-groups")
     identical = True
-    for i in range(50):
-        scenario = generate_scenario(PROFILES[profiles[i % 4]], 1100 + i)
-        path = tmp_path / f"s{i}.json"
-        save_scenario(scenario, path)
+    for prop in ("dsic-searcher", "dsic-builder", "integration"):
         captures = []
         for threads in ("1", "8"):
-            buffers = []
-            for command in ("build", "mechanism"):
-                report = tmp_path / f"{command}-{i}-{threads}.json"
-                buf = io.StringIO()
-                with redirect_stdout(buf):
-                    code = main(
-                        [command, str(path), "--threads", threads, "--out", str(report)]
-                    )
-                assert code == 0
-                buffers.append((buf.getvalue(), report.read_bytes()))
-            captures.append(buffers)
+            report = tmp_path / f"{prop}-{threads}.json"
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                code = main(
+                    [
+                        "verify", prop, "--n", "50", "--seed", "1100",
+                        "--threads", threads, "--out", str(report),
+                    ]
+                )
+            assert code == 0
+            captures.append((buf.getvalue(), report.read_bytes()))
         identical &= captures[0] == captures[1]
     elapsed = time.perf_counter() - t0
     _line(
         11,
-        "build/mechanism byte-identical across --threads 1 and 8 (50 scenarios)",
+        "verify byte-identical across --threads 1 and 8 (3 sweeps x 50 scenarios)",
         identical,
         elapsed,
         120.0,

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockmech.cli import main
 from blockmech.fixtures import example2_scenario
@@ -181,21 +186,33 @@ def test_oracle_refuses_oversized(capsys, tmp_path):
 
 
 def test_threads_flag_never_changes_output(capsys, tmp_path):
-    scenario_path = tmp_path / "s.json"
-    run_cli(
-        capsys, "gen", "--profile", "stress-large-groups", "--seed", "6",
-        "--out", str(scenario_path),
-    )
     outputs = []
     for threads in ("1", "8"):
-        report = tmp_path / f"m{threads}.json"
+        report = tmp_path / f"v{threads}.json"
         code, out, _ = run_cli(
-            capsys, "mechanism", str(scenario_path), "--threads", threads,
-            "--out", str(report),
+            capsys, "verify", "integration", "--n", "6", "--seed", "6",
+            "--threads", threads, "--out", str(report),
         )
         assert code == 0
         outputs.append((out, report.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", EXAMPLE2, "--threads", "2"],
+        ["build", EXAMPLE2, "--weight-cap", "1"],
+        ["mechanism", EXAMPLE2, "--threads", "2"],
+        ["oracle", EXAMPLE2, "--threads", "2"],
+        ["groups", EXAMPLE2, "--threads", "2"],
+    ],
+    ids=lambda argv: " ".join([argv[0]] + argv[2:]),
+)
+def test_removed_flags_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "unrecognized arguments" in err and out == ""
 
 
 def test_fixture_files_match_constructors(tmp_path):
@@ -222,6 +239,117 @@ def test_non_finite_bid_is_a_located_usage_error(capsys, tmp_path, field, bad):
         assert code == 2, command
         assert "bundles[0].bid" in err and "finite" in err
         assert out == ""
+
+
+def _set(path, value):
+    """Mutation of the example2 record: replace the field at `path`."""
+
+    def mutate(record):
+        *parents, last = path
+        for step in parents:
+            record = record[step]
+        record[last] = value
+
+    return mutate
+
+
+def _constant_bid_builder(params):
+    return _set(("builders",), [{"name": "constant-bid", "params": params}])
+
+
+@pytest.mark.parametrize(
+    "mutate, command, location",
+    [
+        (_set(("bundles", 0, "weight"), 0), "compare", "bundles[0].weight"),
+        (_set(("bundles", 0, "weight"), float("nan")), "mechanism", "bundles[0].weight"),
+        (_set(("bundles", 0, "weight"), 10**400), "compare", "bundles[0].weight"),
+        (_set(("bundles", 0, "id"), "one"), "mechanism", "bundles[0].id"),
+        (_set(("seed",), "7"), "mechanism", "seed"),
+        (_set(("bundles", 0, "txs"), {"hash": "0xa1"}), "mechanism", "bundles[0].txs"),
+        (_constant_bid_builder([5.0]), "mechanism", "builders[0].params"),
+        (_constant_bid_builder({"bid": "lots"}), "mechanism", "builders[0].params.bid"),
+        (_set(("bundles", 0, "id"), 1.7), "mechanism", "bundles[0].id"),
+        (_set(("bundles", 0, "id"), True), "mechanism", "bundles[0].id"),
+        (_set(("k_cutoff",), 2.5), "mechanism", "k_cutoff"),
+        (_set(("bundles",), {"0": {}}), "mechanism", "bundles:"),
+    ],
+    ids=[
+        "weight-0", "weight-NaN", "weight-past-float-range", "string-id", "string-seed", "txs-object",
+        "params-list", "string-builder-bid", "float-id", "bool-id",
+        "float-k_cutoff", "bundles-object",
+    ],
+)
+def test_malformed_scenario_field_is_a_located_usage_error(
+    capsys, tmp_path, mutate, command, location
+):
+    record = json.loads(Path(EXAMPLE2).read_text())
+    mutate(record)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert err.startswith(f"error: {location}")
+    assert "Traceback" not in err and out == ""
+
+
+def _field_paths(node, prefix=()):
+    """Every key or index path in a JSON document, parents first."""
+    children = (
+        node.items() if isinstance(node, dict)
+        else enumerate(node) if isinstance(node, list)
+        else ()
+    )
+    for step, child in children:
+        yield prefix + (step,)
+        yield from _field_paths(child, prefix + (step,))
+
+
+def _json_kind(value) -> str:
+    if isinstance(value, bool) or value is None:
+        return repr(value)
+    if isinstance(value, (int, float)):
+        return "number"
+    return type(value).__name__
+
+
+_JSON_VALUES = {
+    "None": st.none(),
+    "True": st.just(True),
+    "False": st.just(False),
+    "number": st.one_of(st.integers(), st.floats()),
+    "str": st.text(max_size=4),
+    "list": st.lists(st.one_of(st.integers(), st.text(max_size=2)), max_size=2),
+    "dict": st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+}
+_EXAMPLE2_RECORD = json.loads(Path(EXAMPLE2).read_text())
+_EXAMPLE2_PATHS = list(_field_paths(_EXAMPLE2_RECORD))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_retyped_field_never_ends_in_a_traceback(data):
+    """One field of example2 replaced by a value of another JSON type:
+    either the run still succeeds or the loader refuses it (exit 2)."""
+    path = data.draw(st.sampled_from(_EXAMPLE2_PATHS), label="path")
+    record = json.loads(json.dumps(_EXAMPLE2_RECORD))
+    target = record
+    for step in path[:-1]:
+        target = target[step]
+    kinds = sorted(set(_JSON_VALUES) - {_json_kind(target[path[-1]])})
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    target[path[-1]] = data.draw(_JSON_VALUES[kind], label="value")
+    command = data.draw(
+        st.sampled_from(["mechanism", "build", "oracle", "groups", "compare"]),
+        label="command",
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario_path = Path(tmp) / "mutated.json"
+        scenario_path.write_text(json.dumps(record))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, str(scenario_path)])
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 # Runs each CLI command in one fresh interpreter and prints its stdout,

@@ -17,6 +17,7 @@ from blockmech.default_algo import (
     resolve_group,
     select_subset,
 )
+from blockmech.harness import compare_sweep, verify_budget_and_refunds
 from blockmech.model import (
     CoinbaseLabel,
     ConstantBid,
@@ -258,17 +259,15 @@ def test_resolution_strategies_recorded():
 
 
 def test_threading_does_not_change_output():
-    scenario = generate_scenario(PROFILES["stress-large-groups"], 5)
-    bundles = scenario.bundle_map()
-    one = block_building(bundles, scenario.k_cutoff, scenario.seed, threads=1)
-    eight = block_building(bundles, scenario.k_cutoff, scenario.seed, threads=8)
-    assert one == eight
+    one = verify_budget_and_refunds(8, 3, threads=1)
+    eight = verify_budget_and_refunds(8, 3, threads=8)
+    assert one == eight and one.checked == 8
 
+    # Witnesses carry per-scenario values and seeds, so a pool that
+    # collected in completion order would reorder them.
+    def deterministic(result):
+        return {k: v for k, v in result.details.items() if k != "mean_runtime_seconds"}
 
-def test_weight_cap_filters_candidates():
-    bundles = [
-        make_bundle(1, 5, writes={key("k")}, weight=3),
-        make_bundle(2, 9, writes={key("k")}, weight=3),
-    ]
-    res = resolve_group(_group(bundles), bundles, 8, 0, LABEL, weight_cap=3)
-    assert res.sub_block == (2,)  # the pair exceeds the cap, best single wins
+    sweeps = [compare_sweep("stress-large-groups", 12, 121, t) for t in (1, 8)]
+    assert sweeps[0].details["witness_count"] >= 2
+    assert deterministic(sweeps[0]) == deterministic(sweeps[1])

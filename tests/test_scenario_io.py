@@ -97,3 +97,15 @@ def test_malformed_json_reports_line(tmp_path):
     path.write_text('{"bundles": [,]}')
     with pytest.raises(ScenarioParseError, match=":1:"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"\xff\xfe{}", b'{"seed": ' + b"7" * 5000 + b"}", b"[" * 10**5 + b"]" * 10**5],
+    ids=["not-utf8", "integer-past-digit-limit", "nested-past-recursion-limit"],
+)
+def test_undecodable_file_is_a_parse_error(tmp_path, raw):
+    path = tmp_path / "broken.json"
+    path.write_bytes(raw)
+    with pytest.raises(ScenarioParseError, match="broken.json"):
+        load_scenario(path)
