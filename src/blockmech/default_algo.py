@@ -9,6 +9,18 @@ serves both the same-target candidate and the truncation ranking. Groups
 are resolved one after another in the calling thread; the only worker pool
 in the package runs whole scenarios, in `harness`.
 
+Enumerated and truncated groups are scored by one depth-first walk over the
+prefix tree of ordered subsets (`_walk`), which the exact oracle shares.
+Each node adds one contribution to its parent's total, so totals add left
+to right exactly as a from-scratch evaluation does. A node displaces the
+incumbent when its value is higher, or equal and the node shorter; since
+same-length nodes come out in lexicographic order, that is the first
+maximizer of the canonical order. A member's counterfactual value at a node
+is the node's total minus that member's contribution on the path (0.0 when
+absent), the same float subtraction as on a rescored candidate, so zeroed-
+bid resolutions are exact too. The two shortcuts score their short explicit
+candidate lists directly.
+
 The candidate sub-blocks considered for a group depend only on the group's
 membership, the cutoff, the seed, and the declared transaction structure,
 never on bids. That bid independence is what makes the surrounding refund
@@ -114,26 +126,34 @@ def classify_group(group: ConflictGroup, bundles, k_cutoff: int) -> Strategy:
     return shortcut if shortcut is not None else Strategy.TRUNCATED
 
 
+def _plan(group: ConflictGroup, bundles, k_cutoff: int, seed: int) -> tuple:
+    """(strategy, pool, shortlist) for one group. `pool` holds the sorted ids
+    the candidates draw from. An ENUMERATED or TRUNCATED group has no
+    `shortlist`: every ordered subset of its pool is a candidate. A shortcut
+    lists its candidates explicitly."""
+    strategy = classify_group(group, bundles, k_cutoff)
+    members = group.sorted_members()
+    if strategy is Strategy.ENUMERATED:
+        return strategy, members, None
+    if strategy is Strategy.TRUNCATED:
+        selected = select_subset(group, bundles, k_cutoff - 1, seed)
+        return strategy, sorted(selected), None
+    if strategy is Strategy.SHARED_PIVOT:
+        return strategy, members, [(i,) for i in members]
+    return strategy, members, [tuple(_seeded_order(members, bundles, seed))]
+
+
 def candidate_set(
     group: ConflictGroup, bundles, k_cutoff: int, seed: int
 ) -> Iterator[Block]:
     """Candidate sub-blocks for one group, in canonical enumeration order.
 
     The canonical order (sizes ascending, members in id order, permutations
-    lexicographic) doubles as the tie-breaking rule: the first maximizer
-    wins. Bids are deliberately absent from the signature.
+    lexicographic) defines the tie-breaking rule: the first maximizer wins.
+    Bids are deliberately absent from the signature.
     """
-    strategy = classify_group(group, bundles, k_cutoff)
-    members = group.sorted_members()
-    if strategy is Strategy.ENUMERATED:
-        yield from _ordered_subsets(members)
-    elif strategy is Strategy.SHARED_PIVOT:
-        yield from ((i,) for i in members)
-    elif strategy is Strategy.SAME_TARGET:
-        yield tuple(_seeded_order(members, bundles, seed))
-    else:
-        selected = sorted(select_subset(group, bundles, k_cutoff - 1, seed))
-        yield from _ordered_subsets(selected)
+    _, pool, shortlist = _plan(group, bundles, k_cutoff, seed)
+    yield from _ordered_subsets(pool) if shortlist is None else shortlist
 
 
 class _GroupEvaluator:
@@ -147,7 +167,7 @@ class _GroupEvaluator:
     """
 
     def __init__(self, bundles: dict, coinbase: CoinbaseLabel, bids=None):
-        ids = sorted(bundles)
+        self.ids = ids = sorted(bundles)
         self.index = {i: n for n, i in enumerate(ids)}
         self.idstr = [str(i) for i in ids]
         count = len(ids)
@@ -200,6 +220,122 @@ class _GroupEvaluator:
         return total, contribs
 
 
+def _walk(
+    evaluator: _GroupEvaluator,
+    counterfactuals: bool,
+    transcript: Optional[list] = None,
+) -> tuple:
+    """Score every ordered subset of the evaluator's bundles once, by a
+    depth-first walk over their prefix tree in id order (see the module
+    docstring for why the result equals a scan in canonical order).
+
+    Each node's table signatures come from the placed path, built once per
+    node. `cur[q]` holds bundle q's contribution on the current path, 0.0
+    when q is absent. A `transcript` receives the nodes in walk order.
+    Returns (block, value, {id: (block, value with its bid zeroed)}), the
+    dict empty without `counterfactuals`.
+    """
+    ids, const, entries = evaluator.ids, evaluator.const, evaluator.entries
+    default, affects, idstr = evaluator.default, evaluator.affects, evaluator.idstr
+    n = len(ids)
+    path: list = []  # evaluator slots of the current node, in order
+    cur = [0.0] * n
+    w_block = [()] * n
+    w_value = [0.0] * n
+    w_len = [0] * n
+    best_block: Block = ()
+    best_value = 0.0
+    if transcript is not None:
+        transcript.append(())
+
+    def visit(block: Block, total: float, free: tuple, depth: int) -> None:
+        nonlocal best_block, best_value
+        for k, p in enumerate(free):
+            c = const[p]
+            if c is None:
+                mask = affects[p]
+                sig = ",".join([idstr[s] for s in path if mask >> s & 1])
+                c = entries[p].get(sig, default[p])
+            node = block + (ids[p],)
+            value = total + c
+            if transcript is not None:
+                transcript.append(node)
+            if value > best_value or (
+                value == best_value and depth < len(best_block)
+            ):
+                best_block, best_value = node, value
+            cur[p] = c
+            if counterfactuals:
+                for q in range(n):
+                    w = value - cur[q]
+                    if w > w_value[q] or (w == w_value[q] and depth < w_len[q]):
+                        w_block[q], w_value[q], w_len[q] = node, w, depth
+            if depth < n:
+                path.append(p)
+                visit(node, value, free[:k] + free[k + 1:], depth + 1)
+                path.pop()
+            cur[p] = 0.0
+
+    visit((), 0.0, tuple(range(n)), 1)
+    without = {ids[q]: (w_block[q], w_value[q]) for q in range(n)}
+    return best_block, best_value, without if counterfactuals else {}
+
+
+def _scan(
+    evaluator: _GroupEvaluator,
+    shortlist: list,
+    counterfactuals: bool,
+    transcript: Optional[list] = None,
+) -> tuple:
+    """`_walk`'s result for an explicit candidate list, which is not
+    prefix-closed: each candidate scored from scratch, first maximizer in
+    list order."""
+    best: Optional[Block] = None
+    best_value = 0.0
+    without: dict = {}
+    for block in shortlist:
+        if transcript is not None:
+            transcript.append(block)
+        total, contribs = evaluator.values(block)
+        if best is None or total > best_value:
+            best, best_value = block, total
+        if counterfactuals:
+            contrib_of = dict(zip(block, contribs))
+            for i in evaluator.ids:
+                value = total - contrib_of.get(i, 0.0)
+                if i not in without or value > without[i][1]:
+                    without[i] = (block, value)
+    return best, best_value, without
+
+
+def _resolve(
+    group: ConflictGroup,
+    bundles,
+    k_cutoff: int,
+    seed: int,
+    coinbase: CoinbaseLabel,
+    bids: Optional[Mapping],
+    counterfactuals: bool,
+    transcript: Optional[list] = None,
+) -> tuple:
+    by_id = as_bundle_map(bundles)
+    strategy, pool, shortlist = _plan(group, by_id, k_cutoff, seed)
+    evaluator = _GroupEvaluator({i: by_id[i] for i in pool}, coinbase, bids)
+    if shortlist is None:
+        best, value, without = _walk(evaluator, counterfactuals, transcript)
+    else:
+        best, value, without = _scan(
+            evaluator, shortlist, counterfactuals, transcript
+        )
+    resolution = GroupResolution(group, strategy, best, value)
+    if not counterfactuals:
+        return resolution, {}
+    # A member outside a truncated pool adds 0.0 to every candidate, so its
+    # counterfactual is the base resolution.
+    members = group.sorted_members()
+    return resolution, {i: without.get(i, (best, value)) for i in members}
+
+
 def resolve_group(
     group: ConflictGroup,
     bundles,
@@ -209,26 +345,17 @@ def resolve_group(
     bids: Optional[Mapping] = None,
     transcript: Optional[list] = None,
 ) -> GroupResolution:
-    """Exact argmax of the total bid over the group's candidate set.
+    """Exact argmax of the total bid over the group's candidate set, the
+    first maximizer in canonical order.
 
-    A `transcript` list, when supplied, receives every candidate actually
-    scanned; comparing transcripts across bid profiles is how the candidate
-    set's bid independence is audited.
+    A `transcript` list, when supplied, receives every candidate scored, in
+    walk order; comparing transcripts across bid profiles is how the
+    candidate set's bid independence is audited.
     """
-    by_id = as_bundle_map(bundles)
-    group_bundles = {i: by_id[i] for i in group.members}
-    evaluator = _GroupEvaluator(group_bundles, coinbase, bids)
-    best: Optional[Block] = None
-    best_value = 0.0
-    for block in candidate_set(group, group_bundles, k_cutoff, seed):
-        if transcript is not None:
-            transcript.append(block)
-        value, _ = evaluator.values(block)
-        if best is None or value > best_value:
-            best, best_value = block, value
-    return GroupResolution(
-        group, classify_group(group, bundles, k_cutoff), best, best_value
+    resolution, _ = _resolve(
+        group, bundles, k_cutoff, seed, coinbase, bids, False, transcript
     )
+    return resolution
 
 
 def resolve_group_with_counterfactuals(
@@ -240,38 +367,19 @@ def resolve_group_with_counterfactuals(
     bids: Optional[Mapping] = None,
 ) -> tuple:
     """Base resolution plus, per member, the argmax with that member's bid
-    zeroed, all from one enumeration pass.
+    zeroed, all from one walk over the candidate set.
 
     Zeroing a bid changes a candidate's value by exactly that bundle's own
-    contribution in it (no other bundle's bid reads bid values), so every
-    counterfactual objective is scanned in the same canonical order with the
-    same first-maximizer tie-breaking as a literal rerun. Returns
-    (GroupResolution, {member id: (sub_block, value of others)}).
+    contribution in it (no other bundle's bid reads bid values). So at each
+    node of the prefix-tree walk (see `_walk`) member i's counterfactual
+    value is the node's total minus i's contribution on the path, 0.0 when i
+    is absent; a node displaces i's incumbent when that value is higher, or
+    equal and the node shorter, the same first maximizer as a literal rerun
+    in canonical order. Shortcut groups score their explicit candidates in
+    list order. Returns (GroupResolution, {member id: (sub_block, value of
+    others)}).
     """
-    by_id = as_bundle_map(bundles)
-    group_bundles = {i: by_id[i] for i in group.members}
-    evaluator = _GroupEvaluator(group_bundles, coinbase, bids)
-    members = group.sorted_members()
-    best: Optional[Block] = None
-    best_value = 0.0
-    without_block = {i: None for i in members}
-    without_value = {i: 0.0 for i in members}
-    for block in candidate_set(group, group_bundles, k_cutoff, seed):
-        total, contribs = evaluator.values(block)
-        if best is None or total > best_value:
-            best, best_value = block, total
-        contrib_of = dict(zip(block, contribs))
-        for i in members:
-            value = total - contrib_of.get(i, 0.0)
-            if without_block[i] is None or value > without_value[i]:
-                without_block[i], without_value[i] = block, value
-    resolution = GroupResolution(
-        group, classify_group(group, bundles, k_cutoff), best or (), best_value
-    )
-    counterfactuals = {
-        i: (without_block[i] or (), without_value[i]) for i in members
-    }
-    return resolution, counterfactuals
+    return _resolve(group, bundles, k_cutoff, seed, coinbase, bids, True)
 
 
 def build_with_resolutions(

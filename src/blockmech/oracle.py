@@ -1,10 +1,17 @@
 """Exact VCG over the full block space.
 
-Exponential-time ground truth for small instances: enumerates every ordered
-subset of bundles, picks the total-bid maximizer, and charges each bundle
-its externality via the refund rule. Used to cross-check the default
-algorithm and the mechanism's refund logic; refuses instances past the size
-cap rather than approximating.
+Exponential-time ground truth for small instances: every ordered subset of
+the bundles is a candidate block, the total-bid maximizer wins, and each
+bundle is charged its externality via the refund rule. One walk of the
+default algorithm's prefix tree (`default_algo._walk`), with all bundles as
+one pool, scores every block once: a node adds one contribution to its
+parent's total, so totals equal a left-to-right `block_bids` sum bit for
+bit; a node displaces the incumbent when its value is higher, or equal and
+the node shorter, which keeps the canonical first maximizer; and a bundle's
+counterfactual value at a node is the node's total minus its contribution
+on the path (0.0 when absent). Used to cross-check the default algorithm
+and the mechanism's refund logic; refuses instances past the size cap
+rather than approximating.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator, Mapping, Optional
 
+from .default_algo import _GroupEvaluator, _walk
 from .model import (
     Block,
     CoinbaseLabel,
@@ -37,15 +45,19 @@ class VcgOutcome:
     proposer_revenue: float
 
 
+def _check_size(count: int, limit: int) -> None:
+    if count > limit:
+        raise OracleSizeError(
+            f"refusing exact enumeration of {count} bundles (limit {limit}); "
+            "the oracle never approximates"
+        )
+
+
 def full_omega(bundles, limit: int = DEFAULT_OMEGA_LIMIT) -> Iterator[Block]:
     """Every ordered subset of the bundle set, exactly once, in canonical
     order (sizes ascending, ids ascending, permutations lexicographic)."""
     ids = sorted(as_bundle_map(bundles))
-    if len(ids) > limit:
-        raise OracleSizeError(
-            f"refusing exact enumeration of {len(ids)} bundles (limit {limit}); "
-            "the oracle never approximates"
-        )
+    _check_size(len(ids), limit)
     for size in range(len(ids) + 1):
         yield from permutations(ids, size)
 
@@ -62,29 +74,20 @@ def vcg_outcome(
 
     The refund to bundle i is the block's total bid minus the best total the
     others could reach with i's bid zeroed, maximized over the same full
-    block space. One enumeration pass computes the winner and every
+    block space. One walk over that space computes the winner and every
     counterfactual maximum simultaneously.
     """
     by_id = as_bundle_map(bundles)
     if coinbase is None:
         coinbase = one_time_label(seed)
     ids = sorted(by_id)
-
-    best_block: Optional[Block] = None
-    best_total = 0.0
-    best_without = {i: 0.0 for i in ids}
-    for block in full_omega(by_id, limit):
-        values = block_bids(block, by_id, coinbase, bids)
-        total = sum(values.values())
-        if best_block is None or total > best_total:
-            best_block, best_total = block, total
-        for i in ids:
-            without = total - values.get(i, 0.0)
-            if without > best_without[i]:
-                best_without[i] = without
+    _check_size(len(ids), limit)
+    evaluator = _GroupEvaluator(by_id, coinbase, bids)
+    best_block, _, without = _walk(evaluator, True)
 
     winner_values = block_bids(best_block, by_id, coinbase, bids)
+    best_total = sum(winner_values.values())  # the integer 0 for an empty winner
     charges = {i: winner_values.get(i, 0.0) for i in ids}
-    refunds = {i: best_total - best_without[i] for i in ids}
+    refunds = {i: best_total - without[i][1] for i in ids}
     proposer = sum(charges[i] - refunds[i] for i in ids)
     return VcgOutcome(best_block, best_total, charges, refunds, proposer)

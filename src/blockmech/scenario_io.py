@@ -56,6 +56,13 @@ def _int(value, where: str, minimum: Optional[int] = None) -> int:
     return value
 
 
+def _str(value, where: str) -> str:
+    """A JSON string. Other values are refused, never coerced with `str()`."""
+    if not isinstance(value, str):
+        raise ScenarioParseError(where, f"expected a string, got {value!r}")
+    return value
+
+
 def _list(value, where: str) -> list:
     if not isinstance(value, list):
         raise ScenarioParseError(where, f"expected a list, got {type(value).__name__}")
@@ -94,22 +101,31 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+def _bid_value(value, where: str) -> float:
+    """A finite, non-negative bid amount."""
+    number = _number(value, where)
+    if number < 0:
+        raise ScenarioParseError(where, f"must be >= 0, got {number}")
+    return number
+
+
 def _bid_from_dict(record, where: str):
     variant = _require(record, "variant", where)
     if variant == "constant":
-        return ConstantBid(_number(_require(record, "value", where), f"{where}.value"))
+        value = _require(record, "value", where)
+        return ConstantBid(_bid_value(value, f"{where}.value"))
     if variant == "table":
         entries = _object(_require(record, "entries", where), f"{where}.entries")
         return TableBid(
             {
-                str(k): _number(v, f"{where}.entries[{json.dumps(k)}]")
+                str(k): _bid_value(v, f"{where}.entries[{json.dumps(k)}]")
                 for k, v in entries.items()
             },
-            _number(_require(record, "default", where), f"{where}.default"),
+            _bid_value(_require(record, "default", where), f"{where}.default"),
         )
     if variant == "gated":
         return GatedBid(
-            CoinbaseLabel(str(_require(record, "target", where))),
+            CoinbaseLabel(_str(_require(record, "target", where), f"{where}.target")),
             _bid_from_dict(_require(record, "inner", where), f"{where}.inner"),
         )
     raise ScenarioParseError(where, f"unknown bid variant '{variant}'")
@@ -124,7 +140,10 @@ def _keys_from_list(records, where: str) -> frozenset:
     for n, rec in enumerate(_list(records, where)):
         loc = f"{where}[{n}]"
         keys.append(
-            StorageKey(str(_require(rec, "address", loc)), str(_require(rec, "slot", loc)))
+            StorageKey(
+                _str(_require(rec, "address", loc), f"{loc}.address"),
+                _str(_require(rec, "slot", loc), f"{loc}.slot"),
+            )
         )
     return frozenset(keys)
 
@@ -147,8 +166,13 @@ def bundle_from_dict(record, where: str) -> Bundle:
     for n, rec in enumerate(_list(_require(record, "txs", where), f"{where}.txs")):
         loc = f"{where}.txs[{n}]"
         txs.append(
-            TxRef(str(_require(rec, "hash", loc)), str(_require(rec, "target", loc)))
+            TxRef(
+                _str(_require(rec, "hash", loc), f"{loc}.hash"),
+                _str(_require(rec, "target", loc), f"{loc}.target"),
+            )
         )
+    if not txs:
+        raise ScenarioParseError(f"{where}.txs", "must be non-empty")
     gate = record.get("gate")
     weight = _int(record.get("weight", 1), f"{where}.weight", minimum=1)
     _number(weight, f"{where}.weight")  # density ordering divides by it as a float
@@ -158,7 +182,7 @@ def bundle_from_dict(record, where: str) -> Bundle:
         reads=_keys_from_list(record.get("reads", []), f"{where}.reads"),
         writes=_keys_from_list(record.get("writes", []), f"{where}.writes"),
         weight=weight,
-        gate=None if gate is None else CoinbaseLabel(str(gate)),
+        gate=None if gate is None else CoinbaseLabel(_str(gate, f"{where}.gate")),
         bid=_bid_from_dict(_require(record, "bid", where), f"{where}.bid"),
         valuation=_bid_from_dict(
             _require(record, "valuation", where), f"{where}.valuation"
@@ -186,7 +210,7 @@ def scenario_from_dict(record) -> Scenario:
     builders = []
     for n, rec in enumerate(_list(record.get("builders", []), "builders")):
         loc = f"builders[{n}]"
-        name = str(_require(rec, "name", loc))
+        name = _str(_require(rec, "name", loc), f"{loc}.name")
         params = _object(rec.get("params", {}), f"{loc}.params")
         for key, value in params.items():
             _number(value, f"{loc}.params.{key}")

@@ -272,11 +272,35 @@ def _constant_bid_builder(params):
         (_set(("bundles", 0, "id"), True), "mechanism", "bundles[0].id"),
         (_set(("k_cutoff",), 2.5), "mechanism", "k_cutoff"),
         (_set(("bundles",), {"0": {}}), "mechanism", "bundles:"),
+        (_set(("bundles", 0, "txs", 0, "hash"), ["x"]), "mechanism", "bundles[0].txs[0].hash"),
+        (_set(("bundles", 0, "txs", 0, "target"), 7), "build", "bundles[0].txs[0].target"),
+        (_set(("bundles", 0, "writes", 0, "address"), None), "mechanism", "bundles[0].writes[0].address"),
+        (_set(("bundles", 0, "writes", 0, "slot"), {"s": 1}), "oracle", "bundles[0].writes[0].slot"),
+        (_set(("bundles", 0, "gate"), 5), "mechanism", "bundles[0].gate"),
+        (
+            _set(
+                ("bundles", 0, "bid"),
+                {"variant": "gated", "target": ["builder-0"], "inner": {"variant": "constant", "value": 1.0}},
+            ),
+            "mechanism",
+            "bundles[0].bid.target",
+        ),
+        (_set(("builders",), [{"name": 3, "params": {}}]), "mechanism", "builders[0].name"),
+        (_set(("bundles", 0, "bid", "default"), -5), "mechanism", "bundles[0].bid.default"),
+        (_set(("bundles", 0, "valuation", "entries", "2"), -1.5), "build", 'bundles[0].valuation.entries["2"]'),
+        (
+            _set(("bundles", 0, "bid"), {"variant": "constant", "value": -0.5}),
+            "oracle",
+            "bundles[0].bid.value",
+        ),
+        (_set(("bundles", 0, "txs"), []), "mechanism", "bundles[0].txs"),
     ],
     ids=[
         "weight-0", "weight-NaN", "weight-past-float-range", "string-id", "string-seed", "txs-object",
         "params-list", "string-builder-bid", "float-id", "bool-id",
-        "float-k_cutoff", "bundles-object",
+        "float-k_cutoff", "bundles-object", "list-hash", "int-target", "null-address",
+        "object-slot", "int-gate", "list-gated-target", "int-builder-name",
+        "negative-default", "negative-entry", "negative-value", "empty-txs",
     ],
 )
 def test_malformed_scenario_field_is_a_located_usage_error(

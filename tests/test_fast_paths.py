@@ -4,10 +4,14 @@
   `counterfactual_blocks`;
 - the indexed `model.block_bids` against a scan of every placed bundle;
 - the incremental greedies against the quadratic greedy kept below;
-- builders reusing the default block against ones that rebuild it.
+- builders reusing the default block against ones that rebuild it;
+- the prefix-tree walk of `default_algo` against the per-candidate scan,
+  and the oracle built on it against a `full_omega` + `block_bids` loop.
 
 Generated bids are integers, so the fast and slow routes must agree
-exactly; the one fractional case states its tolerance.
+exactly; the one fractional refund case states its tolerance. The walk
+performs the same float operations as the scan, so it must agree exactly
+on fractional bids too.
 """
 
 from __future__ import annotations
@@ -20,8 +24,17 @@ from dataclasses import replace
 import pytest
 
 from blockmech.baselines import greedy_by_bid, greedy_by_density
-from blockmech.conflict import conflict_free_set, get_conflict_groups
-from blockmech.default_algo import block_building, counterfactual_blocks
+from blockmech.conflict import ConflictGroup, conflict_free_set, get_conflict_groups
+from blockmech.default_algo import (
+    Strategy,
+    _GroupEvaluator,
+    block_building,
+    candidate_set,
+    classify_group,
+    counterfactual_blocks,
+    resolve_group,
+    resolve_group_with_counterfactuals,
+)
 from blockmech.fixtures import (
     collusion_scenario,
     deficit_scenario,
@@ -50,6 +63,7 @@ from blockmech.model import (
     evaluate_bid,
     one_time_label,
 )
+from blockmech.oracle import VcgOutcome, full_omega, vcg_outcome
 from blockmech.workload import PROFILES, Profile, generate_scenario
 
 from conftest import key, make_bundle
@@ -369,3 +383,154 @@ def test_gated_override_runs_match_rebuild():
     assert run_mechanism(scenario, bids=bids, builders=reusing) == run_mechanism(
         scenario, bids=bids, builders=rebuilding
     )
+
+
+# -- the prefix-tree walk and the oracle -----------------------------------
+
+
+def _scan_reference(group, bundles, k_cutoff, seed, coinbase, bids=None):
+    """Reference resolution: every candidate of `candidate_set` scored from
+    scratch in canonical order, the first maximizer kept for the base
+    objective and for each member's objective with its bid zeroed."""
+    group_bundles = {i: bundles[i] for i in group.members}
+    evaluator = _GroupEvaluator(group_bundles, coinbase, bids)
+    members = group.sorted_members()
+    best, best_value = None, 0.0
+    without_block = {i: None for i in members}
+    without_value = {i: 0.0 for i in members}
+    for block in candidate_set(group, group_bundles, k_cutoff, seed):
+        total, contribs = evaluator.values(block)
+        if best is None or total > best_value:
+            best, best_value = block, total
+        contrib_of = dict(zip(block, contribs))
+        for i in members:
+            value = total - contrib_of.get(i, 0.0)
+            if without_block[i] is None or value > without_value[i]:
+                without_block[i], without_value[i] = block, value
+    counterfactuals = {i: (without_block[i], without_value[i]) for i in members}
+    return (best, best_value), counterfactuals
+
+
+def _oracle_reference(bundles, coinbase, bids=None) -> VcgOutcome:
+    """Reference oracle: `block_bids` on every block of `full_omega`."""
+    ids = sorted(bundles)
+    best_block, best_total = None, 0.0
+    best_without = {i: 0.0 for i in ids}
+    for block in full_omega(bundles):
+        values = block_bids(block, bundles, coinbase, bids)
+        total = sum(values.values())
+        if best_block is None or total > best_total:
+            best_block, best_total = block, total
+        for i in ids:
+            without = total - values.get(i, 0.0)
+            if without > best_without[i]:
+                best_without[i] = without
+    winner_values = block_bids(best_block, bundles, coinbase, bids)
+    charges = {i: winner_values.get(i, 0.0) for i in ids}
+    refunds = {i: best_total - best_without[i] for i in ids}
+    proposer = sum(charges[i] - refunds[i] for i in ids)
+    return VcgOutcome(best_block, best_total, charges, refunds, proposer)
+
+
+def _exact(block, value):
+    return block, float(value).hex()
+
+
+def _bid_profiles(bundles) -> dict:
+    """Bid overrides: integer tables as declared, the same at 0.1 steps,
+    all zero, all tied, and gated overrides on the lowest and highest ids."""
+    ids = sorted(bundles)
+    return {
+        "integer": None,
+        "fractional": {i: b.bid.scaled(0.1) for i, b in bundles.items()},
+        "zero": {i: ConstantBid(0.0) for i in ids},
+        "tied": {i: ConstantBid(5.0) for i in ids},
+        "gated-override": {
+            ids[0]: GatedBid(GATE, ConstantBid(30.0)),
+            ids[-1]: GatedBid(GATE, TableBid({}, 0.7)),
+        },
+    }
+
+
+def _strategy_group(strategy: Strategy, seed: int) -> tuple:
+    """(bundles, k_cutoff) forming one group resolved by `strategy`."""
+    rng = random.Random(200 + seed)
+    if strategy is Strategy.ENUMERATED:
+        return _order_sensitive_bundles(rng, 4 + seed), 8
+    bundles = _order_sensitive_bundles(rng, 7)
+    if strategy is Strategy.SHARED_PIVOT:
+        victim = TxRef("0xvictim", "pool")
+        bundles = {i: replace(b, txs=b.txs + (victim,)) for i, b in bundles.items()}
+    elif strategy is Strategy.SAME_TARGET:
+        bundles = {
+            i: replace(b, txs=(TxRef(f"0x{i:02x}", "pool"),))
+            for i, b in bundles.items()
+        }
+    return bundles, 4
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_walk_equals_per_candidate_scan(strategy, seed):
+    bundles, k_cutoff = _strategy_group(strategy, seed)
+    group = ConflictGroup(frozenset(bundles))
+    assert classify_group(group, bundles, k_cutoff) is strategy
+    for label in (GATE, builder_label(1)):  # gate matches, gate does not
+        for name, bids in _bid_profiles(bundles).items():
+            (ref_block, ref_value), ref_without = _scan_reference(
+                group, bundles, k_cutoff, seed, label, bids
+            )
+            res, without = resolve_group_with_counterfactuals(
+                group, bundles, k_cutoff, seed, label, bids
+            )
+            transcript = []
+            base = resolve_group(
+                group, bundles, k_cutoff, seed, label, bids, transcript
+            )
+            assert res.strategy is base.strategy is strategy
+            expected = _exact(ref_block, ref_value)
+            assert _exact(res.sub_block, res.value) == expected, name
+            assert _exact(base.sub_block, base.value) == expected, name
+            assert {i: _exact(*w) for i, w in without.items()} == {
+                i: _exact(*w) for i, w in ref_without.items()
+            }, name
+            assert sorted(transcript, key=lambda b: (len(b), b)) == list(
+                candidate_set(group, bundles, k_cutoff, seed)
+            )
+
+
+def _assert_oracle_matches(bundles, label, bids):
+    fast = vcg_outcome(bundles, label, bids)
+    slow = _oracle_reference(bundles, label, bids)
+    assert fast.winner == slow.winner
+    for field in ("total_bid", "proposer_revenue"):
+        assert repr(getattr(fast, field)) == repr(getattr(slow, field)), field
+    for field in ("charges", "refunds"):
+        fast_values, slow_values = getattr(fast, field), getattr(slow, field)
+        assert {i: v.hex() for i, v in fast_values.items()} == {
+            i: v.hex() for i, v in slow_values.items()
+        }, field
+
+
+def test_oracle_walk_equals_full_omega_loop():
+    # Every profile under both labels on one bundle; three (label, profile)
+    # pairs on seven, since the reference scores each of 13,700 blocks with
+    # `block_bids`. All-zero bids keep the reference's integer 0 total.
+    lone = _order_sensitive_bundles(random.Random(301), 1)
+    for label in (GATE, builder_label(1)):
+        for bids in _bid_profiles(lone).values():
+            _assert_oracle_matches(lone, label, bids)
+    seven = _order_sensitive_bundles(random.Random(307), 7)
+    profiles = _bid_profiles(seven)
+    for label, name in (
+        (GATE, "fractional"),
+        (builder_label(1), "gated-override"),
+        (builder_label(1), "tied"),
+    ):
+        _assert_oracle_matches(seven, label, profiles[name])
+
+
+def test_oracle_walk_equals_full_omega_loop_on_eight_bundles():
+    bundles = _order_sensitive_bundles(random.Random(308), 8)
+    fractional = {i: b.bid.scaled(0.1) for i, b in bundles.items()}
+    _assert_oracle_matches(bundles, builder_label(1), fractional)
