@@ -8,7 +8,6 @@ block's context and stop when nothing adds positive value.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -96,8 +95,6 @@ def greedy_by_density(
 @dataclass(frozen=True)
 class ComparisonReport:
     values: dict  # algorithm name -> block value
-    runtimes: dict  # algorithm name -> seconds (informational only)
-    best_value: float
     default_is_best: bool
     gap_absolute: float
     gap_relative: float
@@ -112,38 +109,23 @@ def compare_algorithms(
     bundles = scenario.bundle_map()
     coinbase = one_time_label(scenario.seed)
 
-    def timed(fn):
-        t0 = time.perf_counter()
-        block = fn()
-        return block, time.perf_counter() - t0
-
-    values: dict = {}
-    runtimes: dict = {}
-    runs = {
-        "default": lambda: block_building(
-            bundles, scenario.k_cutoff, scenario.seed, coinbase
-        ),
-        "greedy-bid": lambda: greedy_by_bid(bundles, coinbase),
-        "greedy-density": lambda: greedy_by_density(bundles, coinbase),
+    blocks = {
+        "default": block_building(bundles, scenario.k_cutoff, scenario.seed, coinbase),
+        "greedy-bid": greedy_by_bid(bundles, coinbase),
+        "greedy-density": greedy_by_density(bundles, coinbase),
     }
-    for name, fn in runs.items():
-        block, elapsed = timed(fn)
-        values[name] = block_total_bid(block, bundles, coinbase)
-        runtimes[name] = elapsed
+    values = {
+        name: block_total_bid(block, bundles, coinbase)
+        for name, block in blocks.items()
+    }
     if len(bundles) <= oracle_limit:
-        t0 = time.perf_counter()
-        values["oracle"] = vcg_outcome(
-            bundles, coinbase, limit=oracle_limit
-        ).total_bid
-        runtimes["oracle"] = time.perf_counter() - t0
+        values["oracle"] = vcg_outcome(bundles, coinbase, limit=oracle_limit).total_bid
 
-    best = max(values.values()) if values else 0.0
+    best = max(values.values())
     default_value = values["default"]
     gap = best - default_value
     return ComparisonReport(
         values=values,
-        runtimes=runtimes,
-        best_value=best,
         default_is_best=default_value >= best,
         gap_absolute=gap,
         gap_relative=(gap / best) if best > 0 else 0.0,

@@ -264,7 +264,6 @@ def compare_sweep(profile, n: int, seed: int, threads: int = 1) -> HarnessResult
 
     best_count = 0
     witnesses = []
-    runtimes: dict = {}
     for scenario_seed, report in ordered_map(compare, range(n), threads):
         if report.default_is_best:
             best_count += 1
@@ -277,14 +276,11 @@ def compare_sweep(profile, n: int, seed: int, threads: int = 1) -> HarnessResult
                     "gap_relative": report.gap_relative,
                 }
             )
-        for name, t in report.runtimes.items():
-            runtimes[name] = runtimes.get(name, 0.0) + t
     details = {
         "profile": profile.name,
         "default_best_fraction": best_count / n if n else 1.0,
         "witnesses": witnesses[:5],
         "witness_count": len(witnesses),
-        "mean_runtime_seconds": {k: v / n for k, v in runtimes.items()},
     }
     return HarnessResult("compare", n, (), details)
 

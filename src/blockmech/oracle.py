@@ -83,10 +83,9 @@ def vcg_outcome(
     ids = sorted(by_id)
     _check_size(len(ids), limit)
     evaluator = _GroupEvaluator(by_id, coinbase, bids)
-    best_block, _, without = _walk(evaluator, True)
+    best_block, best_total, without = _walk(evaluator, True)
 
     winner_values = block_bids(best_block, by_id, coinbase, bids)
-    best_total = sum(winner_values.values())  # the integer 0 for an empty winner
     charges = {i: winner_values.get(i, 0.0) for i in ids}
     refunds = {i: best_total - without[i][1] for i in ids}
     proposer = sum(charges[i] - refunds[i] for i in ids)

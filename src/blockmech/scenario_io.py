@@ -231,11 +231,18 @@ def save_scenario(scenario: Scenario, path) -> None:
     Path(path).write_text(dumps_scenario(scenario))
 
 
-def load_scenario(path) -> Scenario:
+def read_json(path):
+    """The JSON document in a file; anything unreadable is a located
+    ScenarioParseError, never a traceback."""
     try:
-        record = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
     except (ValueError, RecursionError) as exc:  # bad bytes, huge ints, deep nesting
         raise ScenarioParseError(str(path), str(exc)) from exc
-    return scenario_from_dict(record)
+    except OSError as exc:  # a directory, no permission
+        raise ScenarioParseError(str(path), exc.strerror or str(exc)) from exc
+
+
+def load_scenario(path) -> Scenario:
+    return scenario_from_dict(read_json(path))

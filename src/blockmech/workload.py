@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Mapping
 
 from .conflict import get_conflict_groups
@@ -29,6 +30,16 @@ from .model import (
     TableBid,
     TxRef,
     exclusive_bid,
+)
+from .scenario_io import (
+    ScenarioParseError,
+    _int,
+    _list,
+    _number,
+    _object,
+    _require,
+    _str,
+    read_json,
 )
 
 
@@ -43,10 +54,12 @@ class Profile:
     group_sizes: Mapping[int, float]  # size -> sampling weight
     shared_pivot_rate: float = 0.0
     same_target_rate: float = 0.0
-    bid_model: str = "table"  # constant | table | exclusive
+    bid_model: str = "table"  # one of BID_MODELS
     builders: tuple = ()
     value_range: tuple = (1, 100)
 
+
+BID_MODELS = ("constant", "table", "exclusive")
 
 PROFILES = {
     "no-conflict": Profile(
@@ -81,24 +94,48 @@ PROFILES = {
 
 
 def load_profile(name_or_path: str) -> Profile:
-    """Resolve a builtin profile name, or read a profile JSON file."""
+    """Resolve a builtin profile name, or read a profile JSON file. A
+    malformed file is a ScenarioParseError that names the field."""
     if name_or_path in PROFILES:
         return PROFILES[name_or_path]
-    try:
-        record = json.loads(open(name_or_path).read())
-    except FileNotFoundError:
+    if not Path(name_or_path).is_file():
         raise GenerationError(
             f"unknown profile '{name_or_path}' (builtins: {', '.join(sorted(PROFILES))})"
-        ) from None
+        )
+    record = _object(read_json(name_or_path), "$")
+    sizes = {}
+    for key, weight in _object(
+        _require(record, "group_sizes", "$"), "group_sizes"
+    ).items():
+        where = f"group_sizes[{json.dumps(key)}]"
+        if not key.isdecimal() or int(key) < 1:
+            raise ScenarioParseError(where, "sizes must be integers >= 1")
+        sizes[int(key)] = _number(weight, where)
+    bid_model = _str(record.get("bid_model", "table"), "bid_model")
+    if bid_model not in BID_MODELS:
+        raise ScenarioParseError(
+            "bid_model", f"expected one of {', '.join(BID_MODELS)}, got {bid_model!r}"
+        )
+    rates = {
+        key: _number(record.get(key, 0.0), key)
+        for key in ("shared_pivot_rate", "same_target_rate")
+    }
+    value_range = _list(record.get("value_range", [1, 100]), "value_range")
+    if len(value_range) != 2:
+        raise ScenarioParseError("value_range", "expected [low, high]")
+    low = _int(value_range[0], "value_range[0]", minimum=0)
+    high = _int(value_range[1], "value_range[1]", minimum=low)
     return Profile(
-        name=record.get("name", name_or_path),
-        n_bundles=int(record["n_bundles"]),
-        group_sizes={int(k): float(v) for k, v in record["group_sizes"].items()},
-        shared_pivot_rate=float(record.get("shared_pivot_rate", 0.0)),
-        same_target_rate=float(record.get("same_target_rate", 0.0)),
-        bid_model=record.get("bid_model", "table"),
-        builders=tuple(record.get("builders", ())),
-        value_range=tuple(record.get("value_range", (1, 100))),
+        name=_str(record.get("name", name_or_path), "name"),
+        n_bundles=_int(_require(record, "n_bundles", "$"), "n_bundles", minimum=1),
+        group_sizes=sizes,
+        **rates,
+        bid_model=bid_model,
+        builders=tuple(
+            _str(name, f"builders[{n}]")
+            for n, name in enumerate(_list(record.get("builders", []), "builders"))
+        ),
+        value_range=(low, high),
     )
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from blockmech.cli import main
 from blockmech.fixtures import example2_scenario
+from blockmech.reports import _RENDERERS, render
 from blockmech.scenario_io import load_scenario, save_scenario
 
 REPO = Path(__file__).resolve().parent.parent
@@ -175,6 +176,26 @@ def test_game_adoption_sweep(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert out.startswith("PASS adoption")
     assert (tmp_path / "game-adoption-report.json").exists()
+
+
+def test_oracle_total_is_a_float_for_an_empty_winner(capsys, tmp_path):
+    record = json.loads(Path(EXAMPLE2).read_text())
+    for bundle in record["bundles"]:
+        bundle["bid"] = {"variant": "constant", "value": 0.0}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(record))
+    code, out, _ = run_cli(capsys, "oracle", str(path), "--format", "json")
+    assert code == 0
+    assert '"total_bid": 0.0' in out
+    assert json.loads(out)["winner"] == []
+
+
+def test_oracle_report_carries_the_block_space_of_small_instances(capsys):
+    code, out, _ = run_cli(capsys, "oracle", EXAMPLE2, "--format", "json")
+    assert code == 0
+    space = json.loads(out)["block_space"]
+    assert len(space) == 5  # (), (1,), (2,), (1, 2), (2, 1)
+    assert {"block": [2, 1], "bids": {"1": 100.0, "2": 50.0}, "total": 150.0} in space
 
 
 def test_oracle_refuses_oversized(capsys, tmp_path):
@@ -389,9 +410,19 @@ for path in fixtures:
         ["build", path, "--format", "json"],
         ["mechanism", path],
         ["mechanism", path, "--format", "json"],
+        ["oracle", path],
+        ["oracle", path, "--format", "json"],
+        ["groups", path, "--format", "json"],
+        ["compare", path, "--format", "json"],
     ]
 for prop in ("dsic-searcher", "dsic-builder", "integration"):
     commands.append(["verify", prop, "--n", "2", "--seed", "4", "--format", "json"])
+for demo in ("collusion", "deficit", "sybil"):
+    commands.append(["demo", demo, "--format", "json"])
+commands += [
+    ["game", "adoption", "--n", "4", "--seed", "2", "--format", "json"],
+    ["compare", "--gen", "realistic", "--n", "4", "--seed", "1", "--format", "json"],
+]
 for argv in commands:
     print("$", *argv[:1], flush=True)
     code = main(argv)
@@ -420,3 +451,138 @@ def test_output_bytes_do_not_depend_on_hash_seed(tmp_path):
     first = outputs[hash_seeds[0]]
     for hash_seed, out in outputs.items():
         assert out == first, f"PYTHONHASHSEED={hash_seed} changed the output"
+
+
+_FULL_CONFLICT = "<full-conflict scenario>"
+
+# (argv without --format, report kind): every kind of report, most of them
+# on each fixture.
+_REPORT_COMMANDS = (
+    [
+        (argv, kind)
+        for path in FIXTURES
+        for argv, kind in (
+            (["build", path], "build"),
+            (["build", path, "--counterfactuals"], "build"),
+            (["oracle", path], "oracle"),
+            (["mechanism", path], "mechanism"),
+            (["groups", path], "groups"),
+            (["compare", path], "compare"),
+        )
+    ]
+    + [
+        (["verify", prop, "--n", "3", "--seed", "2"], "verify")
+        for prop in ("dsic-searcher", "dsic-builder", "integration")
+    ]
+    + [(["demo", demo], f"demo-{demo}") for demo in ("collusion", "deficit", "sybil")]
+    + [
+        (["game", "adoption", _FULL_CONFLICT], "game-adoption"),
+        (["game", "adoption", "--n", "4", "--seed", "1"], "game-adoption-sweep"),
+        (["compare", "--gen", "realistic", "--n", "4", "--seed", "1"], "compare-sweep"),
+    ]
+)
+
+
+def test_report_commands_cover_every_report_kind():
+    assert {kind for _, kind in _REPORT_COMMANDS} == set(_RENDERERS)
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    _REPORT_COMMANDS,
+    ids=[" ".join(Path(a).stem for a in argv) for argv, _ in _REPORT_COMMANDS],
+)
+def test_table_is_rendered_from_the_json_payload(
+    capsys, tmp_path, monkeypatch, argv, kind
+):
+    monkeypatch.chdir(tmp_path)  # verify, demo and game write a default report
+    if _FULL_CONFLICT in argv:
+        scenario = tmp_path / "fc.json"
+        run_cli(capsys, "gen", "--profile", "full-conflict", "--seed", "4", "--out", str(scenario))
+        argv = [str(scenario) if a == _FULL_CONFLICT else a for a in argv]
+    json_code, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+    table_code, table_out, _ = run_cli(capsys, *argv)
+    payload = json.loads(json_out)
+    assert payload["kind"] == kind
+    assert json_code == table_code
+    assert table_out == render(payload) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", EXAMPLE2],
+        ["compare", "--gen", "realistic", "--n", "10", "--seed", "1"],
+        ["compare", "--gen", "realistic", "--n", "10", "--seed", "1", "--format", "json"],
+    ],
+    ids=["scenario", "gen", "gen-json"],
+)
+def test_compare_reruns_are_byte_identical(capsys, tmp_path, argv):
+    runs = []
+    for n in range(2):
+        report = tmp_path / f"compare{n}.json"
+        code, out, err = run_cli(capsys, *argv, "--out", str(report))
+        assert code == 0
+        runs.append((out, err, report.read_bytes()))
+    assert runs[0] == runs[1]
+    assert b"runtime" not in runs[0][2]
+
+
+@pytest.mark.parametrize(
+    "content, command, location",
+    [
+        ('{"n_bundles": 4}', "gen", "$: missing required field 'group_sizes'"),
+        ('{"n_bundles": 4}', "compare", "$: missing required field 'group_sizes'"),
+        ('{"n_bundles": 4, "group_sizes": ', "gen", "{path}:1:"),
+        ('{"n_bundles": "x", "group_sizes": {}}', "gen", "n_bundles"),
+        ('[{"n_bundles": 4, "group_sizes": {}}]', "gen", "$: expected an object"),
+        (
+            '{"n_bundles": 4, "group_sizes": {"2": 1}, "bid_model": "weird"}',
+            "gen",
+            "bid_model",
+        ),
+        ('{"n_bundles": 4, "group_sizes": {"two": 1}}', "gen", 'group_sizes["two"]'),
+        ('{"n_bundles": 4, "group_sizes": {"0": 1}}', "gen", 'group_sizes["0"]'),
+        ('{"n_bundles": 4, "group_sizes": {"2": "1"}}', "gen", 'group_sizes["2"]'),
+        (
+            '{"n_bundles": 4, "group_sizes": {"2": 1}, "shared_pivot_rate": null}',
+            "gen",
+            "shared_pivot_rate",
+        ),
+        (
+            '{"n_bundles": 4, "group_sizes": {"2": 1}, "builders": ["copy-default", 3]}',
+            "gen",
+            "builders[1]",
+        ),
+        (
+            '{"n_bundles": 4, "group_sizes": {"2": 1}, "value_range": [1.5, 9]}',
+            "gen",
+            "value_range[0]",
+        ),
+        (
+            '{"n_bundles": 4, "group_sizes": {"2": 1}, "value_range": [9, 1]}',
+            "gen",
+            "value_range[1]",
+        ),
+    ],
+    ids=[
+        "missing-group_sizes", "compare-missing-group_sizes", "invalid-json",
+        "string-n_bundles", "top-level-list", "unknown-bid_model", "string-size",
+        "zero-size", "string-weight", "null-rate", "int-builder", "float-range",
+        "inverted-range",
+    ],
+)
+def test_malformed_profile_is_a_located_usage_error(
+    capsys, tmp_path, content, command, location
+):
+    profile = tmp_path / "p.json"
+    profile.write_text(content)
+    if command == "gen":
+        argv = ["gen", "--profile", str(profile), "--out", str(tmp_path / "s.json")]
+    else:
+        argv = ["compare", "--gen", str(profile), "--n", "2"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: " + location.format(path=profile))
+    assert "Traceback" not in err and out == ""
+    assert not (tmp_path / "s.json").exists()

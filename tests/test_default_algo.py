@@ -265,9 +265,6 @@ def test_threading_does_not_change_output():
 
     # Witnesses carry per-scenario values and seeds, so a pool that
     # collected in completion order would reorder them.
-    def deterministic(result):
-        return {k: v for k, v in result.details.items() if k != "mean_runtime_seconds"}
-
     sweeps = [compare_sweep("stress-large-groups", 12, 121, t) for t in (1, 8)]
     assert sweeps[0].details["witness_count"] >= 2
-    assert deterministic(sweeps[0]) == deterministic(sweeps[1])
+    assert sweeps[0].details == sweeps[1].details

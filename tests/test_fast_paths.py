@@ -418,7 +418,7 @@ def _oracle_reference(bundles, coinbase, bids=None) -> VcgOutcome:
     best_without = {i: 0.0 for i in ids}
     for block in full_omega(bundles):
         values = block_bids(block, bundles, coinbase, bids)
-        total = sum(values.values())
+        total = sum(values.values(), 0.0)  # a float for the empty block too
         if best_block is None or total > best_total:
             best_block, best_total = block, total
         for i in ids:
@@ -515,7 +515,7 @@ def _assert_oracle_matches(bundles, label, bids):
 def test_oracle_walk_equals_full_omega_loop():
     # Every profile under both labels on one bundle; three (label, profile)
     # pairs on seven, since the reference scores each of 13,700 blocks with
-    # `block_bids`. All-zero bids keep the reference's integer 0 total.
+    # `block_bids`. All-zero bids check the empty winner's 0.0 total.
     lone = _order_sensitive_bundles(random.Random(301), 1)
     for label in (GATE, builder_label(1)):
         for bids in _bid_profiles(lone).values():
