@@ -100,10 +100,7 @@ class ComparisonReport:
     gap_relative: float
 
 
-def compare_algorithms(
-    scenario: Scenario,
-    oracle_limit: int = DEFAULT_OMEGA_LIMIT,
-) -> ComparisonReport:
+def compare_algorithms(scenario: Scenario) -> ComparisonReport:
     """Run the default algorithm, both greedies, and (when the instance is
     small enough) the exact oracle, all valued under one common label."""
     bundles = scenario.bundle_map()
@@ -118,8 +115,8 @@ def compare_algorithms(
         name: block_total_bid(block, bundles, coinbase)
         for name, block in blocks.items()
     }
-    if len(bundles) <= oracle_limit:
-        values["oracle"] = vcg_outcome(bundles, coinbase, limit=oracle_limit).total_bid
+    if len(bundles) <= DEFAULT_OMEGA_LIMIT:
+        values["oracle"] = vcg_outcome(bundles, coinbase).total_bid
 
     best = max(values.values())
     default_value = values["default"]

@@ -57,12 +57,14 @@ def _resolve_scenario(path: str):
 
 
 def _load_with_overrides(args):
-    scenario = _resolve_scenario(args.scenario)
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
-    if args.k_cutoff is not None:
-        scenario = replace(scenario, k_cutoff=args.k_cutoff)
-    return scenario
+    """The scenario file, with the `--seed`/`--k-cutoff` values the command
+    takes and the user gave."""
+    overrides = {
+        field: getattr(args, field)
+        for field in ("seed", "k_cutoff")
+        if getattr(args, field, None) is not None
+    }
+    return replace(_resolve_scenario(args.scenario), **overrides)
 
 
 def _emit(args, kind: str, body: dict, default_out: str = None) -> None:
@@ -184,6 +186,8 @@ def _cmd_groups(args) -> int:
 
 def _cmd_compare(args) -> int:
     if args.gen:
+        if args.k_cutoff is not None:
+            raise UsageError("--k-cutoff applies to a scenario file, not to --gen")
         profile = load_profile(args.gen)
         result = compare_sweep(profile, args.n, args.seed or 0, args.threads)
         body = {"sweep": result.details, "scenarios": result.checked}
@@ -285,21 +289,22 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", default=None, help="write a JSON report here")
         return p
 
-    def on_scenario(name, fn, help):
+    def on_scenario(name, fn, help, overrides=("seed", "k-cutoff")):
         p = command(name, fn, help)
         p.add_argument("scenario", help="scenario file (JSON)")
-        p.add_argument("--seed", type=int, default=None, help="override seed")
-        p.add_argument("--k-cutoff", type=int, default=None, help="override k_cutoff")
+        for flag in overrides:
+            field = flag.replace("-", "_")
+            p.add_argument(f"--{flag}", type=int, default=None, help=f"override {field}")
         return p
 
     p = on_scenario("build", _cmd_build, "run the default block-building algorithm")
     p.add_argument("--counterfactuals", action="store_true")
     p = on_scenario(
-        "oracle", _cmd_oracle, "exact enumeration outcome (small instances)"
+        "oracle", _cmd_oracle, "exact enumeration outcome (small instances)", ("seed",)
     )
     p.add_argument("--limit", type=int, default=8)
     on_scenario("mechanism", _cmd_mechanism, "run the full mechanism and print ledgers")
-    on_scenario("groups", _cmd_groups, "conflict-group histogram")
+    on_scenario("groups", _cmd_groups, "conflict-group histogram", ())
 
     p = command("compare", _cmd_compare, "default vs greedy baselines (and oracle)")
     p.add_argument("scenario", nargs="?", default=None)

@@ -42,7 +42,6 @@ from .model import (
     CoinbaseLabel,
     ConstantBid,
     GatedBid,
-    ZERO_BID,
     as_bundle_map,
     one_time_label,
 )
@@ -470,22 +469,3 @@ def counterfactual_blocks(
             out[i] = tuple(x for part in parts for x in part)
     return {i: out[i] for i in sorted(out)}
 
-
-def _counterfactual_blocks_naive(
-    bundles,
-    k_cutoff: int = DEFAULT_K_CUTOFF,
-    seed: int = 0,
-    coinbase: Optional[CoinbaseLabel] = None,
-    bids: Optional[Mapping] = None,
-) -> dict:
-    """Test reference for `counterfactual_blocks`: a full rebuild per zeroed
-    bundle. Nothing in the package calls it."""
-    by_id = as_bundle_map(bundles)
-    if coinbase is None:
-        coinbase = one_time_label(seed)
-    out = {}
-    for i in sorted(by_id):
-        override = dict(bids) if bids else {}
-        override[i] = ZERO_BID
-        out[i] = block_building(by_id, k_cutoff, seed, coinbase, override)
-    return out

@@ -21,13 +21,7 @@ from itertools import permutations
 from typing import Iterator, Mapping, Optional
 
 from .default_algo import _GroupEvaluator, _walk
-from .model import (
-    Block,
-    CoinbaseLabel,
-    as_bundle_map,
-    block_bids,
-    one_time_label,
-)
+from .model import Block, CoinbaseLabel, as_bundle_map, block_bids
 
 DEFAULT_OMEGA_LIMIT = 8
 
@@ -64,9 +58,8 @@ def full_omega(bundles, limit: int = DEFAULT_OMEGA_LIMIT) -> Iterator[Block]:
 
 def vcg_outcome(
     bundles,
-    coinbase: Optional[CoinbaseLabel] = None,
+    coinbase: CoinbaseLabel,
     bids: Optional[Mapping] = None,
-    seed: int = 0,
     limit: int = DEFAULT_OMEGA_LIMIT,
 ) -> VcgOutcome:
     """Run the exact mechanism: winner, per-bundle charges and refunds, and
@@ -78,8 +71,6 @@ def vcg_outcome(
     counterfactual maximum simultaneously.
     """
     by_id = as_bundle_map(bundles)
-    if coinbase is None:
-        coinbase = one_time_label(seed)
     ids = sorted(by_id)
     _check_size(len(ids), limit)
     evaluator = _GroupEvaluator(by_id, coinbase, bids)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .conflict import conflict_free_set, conflicts, get_conflict_groups
 from .fixtures import collusion_scenario, deficit_scenario, sybil_fixture
@@ -42,6 +42,12 @@ ABS_TOLERANCE = 1e-9
 SCALE_GRID = (0.0, 0.25, 0.5, 2.0, 4.0)
 
 BUILDER_OFFSET_GRID = (-16.0, -4.0, -1.0, -0.25, 0.0, 0.25, 1.0, 4.0, 16.0)
+
+INTEGRATION_OFFSET_GRID = (-4.0, 0.0, 4.0)
+
+COLLUSION_EPSILONS = (Fraction(1, 10**6), Fraction(1, 10**3), Fraction(1))
+
+ADOPTION_PARTITION_LIMIT = 6
 
 
 @dataclass(frozen=True)
@@ -75,12 +81,21 @@ def standard_bid_transforms(fn) -> list:
     return out
 
 
-def searcher_deviation_sweep(
-    scenario: Scenario,
-    i: int,
-    transforms=None,
-    tol: float = ABS_TOLERANCE,
-) -> DeviationReport:
+def _verdict(subject: str, truthful: float, deviations: dict) -> DeviationReport:
+    """Truthful utility against the best grid deviation, within tolerance."""
+    best = max(deviations.values(), default=truthful)
+    dominant = truthful >= best - ABS_TOLERANCE
+    return DeviationReport(
+        subject=subject,
+        truthful_utility=truthful,
+        best_deviation_utility=max(best, truthful),
+        dominant=dominant,
+        witness=None if dominant else max(deviations, key=deviations.get),
+        deviations=deviations,
+    )
+
+
+def searcher_deviation_sweep(scenario: Scenario, i: int) -> DeviationReport:
     """Utility of bidding the true valuation versus every grid misreport.
 
     Utilities are always computed against the true valuation; only the
@@ -88,30 +103,16 @@ def searcher_deviation_sweep(
     """
     bundles = scenario.bundle_map()
     truth = bundles[i].valuation
-    if transforms is None:
-        transforms = standard_bid_transforms(truth)
 
     def utility(bid_fn) -> float:
         outcome = run_mechanism(scenario, bids={i: bid_fn})
         return searcher_utility(i, outcome, bundles, valuation=truth)
 
     truthful = utility(truth)
-    labels = [label for label, _ in transforms]
-    utilities = [utility(fn) for _, fn in transforms]
-    deviations = dict(zip(labels, utilities))
-    best = max(utilities) if utilities else truthful
-    dominant = truthful >= best - tol
-    witness = None
-    if not dominant:
-        witness = max(deviations, key=lambda k: deviations[k])
-    return DeviationReport(
-        subject=f"searcher:{i}",
-        truthful_utility=truthful,
-        best_deviation_utility=max(best, truthful),
-        dominant=dominant,
-        witness=witness,
-        deviations=deviations,
-    )
+    deviations = {
+        label: utility(fn) for label, fn in standard_bid_transforms(truth)
+    }
+    return _verdict(f"searcher:{i}", truthful, deviations)
 
 
 class _OffsetBidBuilder(BuilderAlgorithm):
@@ -128,42 +129,35 @@ class _OffsetBidBuilder(BuilderAlgorithm):
         return block, max(0.0, beta + self.offset)
 
 
-def builder_deviation_sweep(
-    scenario: Scenario,
-    j: int,
-    offsets: Sequence = BUILDER_OFFSET_GRID,
-    tol: float = ABS_TOLERANCE,
-) -> DeviationReport:
-    """Second-price sanity sweep: shift builder j's bid around its truthful
-    value, keeping its block fixed."""
+def _lineup(scenario: Scenario, j: int):
+    """offset -> the scenario's builder line-up with builder j's bid shifted
+    by that offset (the line-up itself at offset 0)."""
     builders = instantiate_builders(scenario.builders)
     if not 0 <= j < len(builders):
         raise ValueError(f"no builder at index {j}")
 
-    def utility(offset: float) -> float:
+    def shifted(offset: float) -> list:
         lineup = list(builders)
         if offset != 0.0:
             lineup[j] = _OffsetBidBuilder(builders[j], offset)
-        outcome = run_mechanism(scenario, builders=lineup)
-        return builder_utility(j, outcome)
+        return lineup
+
+    return shifted
+
+
+def builder_deviation_sweep(scenario: Scenario, j: int) -> DeviationReport:
+    """Second-price sanity sweep: shift builder j's bid around its truthful
+    value, keeping its block fixed."""
+    lineup = _lineup(scenario, j)
+
+    def utility(offset: float) -> float:
+        return builder_utility(j, run_mechanism(scenario, builders=lineup(offset)))
 
     truthful = utility(0.0)
-    shifts = [o for o in offsets if o != 0.0]
-    utilities = [utility(o) for o in shifts]
-    deviations = {f"offset:{o:+g}": u for o, u in zip(shifts, utilities)}
-    best = max(utilities) if utilities else truthful
-    dominant = truthful >= best - tol
-    witness = None
-    if not dominant:
-        witness = max(deviations, key=lambda k: deviations[k])
-    return DeviationReport(
-        subject=f"builder:{j}",
-        truthful_utility=truthful,
-        best_deviation_utility=max(best, truthful),
-        dominant=dominant,
-        witness=witness,
-        deviations=deviations,
-    )
+    deviations = {
+        f"offset:{o:+g}": utility(o) for o in BUILDER_OFFSET_GRID if o != 0.0
+    }
+    return _verdict(f"builder:{j}", truthful, deviations)
 
 
 @dataclass(frozen=True)
@@ -181,14 +175,7 @@ class IntegrationReport:
     )
 
 
-def integration_game(
-    scenario: Scenario,
-    i: int,
-    j: int,
-    transforms=None,
-    offsets: Sequence = (-4.0, 0.0, 4.0),
-    tol: float = ABS_TOLERANCE,
-) -> IntegrationReport:
+def integration_game(scenario: Scenario, i: int, j: int) -> IntegrationReport:
     """Participate-vs-integrate meta-game for a conflict-free bundle.
 
     Integration is modeled as gating the bundle on the builder's coinbase
@@ -202,42 +189,28 @@ def integration_game(
         raise ValueError(f"bundle {i} is not conflict-free; the claim only covers S")
     bundles = scenario.bundle_map()
     truth = bundles[i].valuation
-    if transforms is None:
-        transforms = standard_bid_transforms(truth)
-    builders = instantiate_builders(scenario.builders)
-    if not 0 <= j < len(builders):
-        raise ValueError(f"no builder at index {j}")
+    lineup = _lineup(scenario, j)
+    gated = replace(bundles[i], gate=builder_label(j))
+    modes = {
+        "participate": scenario,
+        "integrate": replace(
+            scenario,
+            bundles=tuple(gated if b.id == i else b for b in scenario.bundles),
+        ),
+    }
 
-    def joint(mode: str, bid_label: str, bid_fn, offset: float) -> tuple:
-        cell = f"{mode}|bid={bid_label}|builder={offset:+g}"
-        lineup = list(builders)
-        if offset != 0.0:
-            lineup[j] = _OffsetBidBuilder(builders[j], offset)
-        sc = scenario
-        if mode == "integrate":
-            patched = replace(bundles[i], gate=builder_label(j))
-            sc = replace(
-                scenario,
-                bundles=tuple(
-                    patched if b.id == i else b for b in scenario.bundles
-                ),
-            )
-        outcome = run_mechanism(sc, bids={i: bid_fn}, builders=lineup)
-        u = searcher_utility(
-            i, outcome, sc.bundle_map(), valuation=truth
-        ) + builder_utility(j, outcome)
-        return cell, u
-
-    cells = []
-    for mode in ("participate", "integrate"):
-        for bid_label, bid_fn in [("truthful", truth)] + list(transforms):
-            for offset in offsets:
-                cells.append((mode, bid_label, bid_fn, offset))
-    table = dict(joint(*c) for c in cells)
+    table = {}
+    for mode, sc in modes.items():
+        for bid_label, bid_fn in [("truthful", truth)] + standard_bid_transforms(truth):
+            for offset in INTEGRATION_OFFSET_GRID:
+                outcome = run_mechanism(sc, bids={i: bid_fn}, builders=lineup(offset))
+                table[f"{mode}|bid={bid_label}|builder={offset:+g}"] = searcher_utility(
+                    i, outcome, sc.bundle_map(), valuation=truth
+                ) + builder_utility(j, outcome)
     desired = table["participate|bid=truthful|builder=+0"]
-    best_label = max(table, key=lambda k: table[k])
+    best_label = max(table, key=table.get)
     best = table[best_label]
-    dominant = desired >= best - tol
+    dominant = desired >= best - ABS_TOLERANCE
     return IntegrationReport(
         subject=i,
         builder=j,
@@ -274,15 +247,7 @@ class CollusionReport:
     eq1_unaffected: bool
 
 
-def collusion_demo(
-    scenario: Optional[Scenario] = None,
-    subject: Optional[int] = None,
-    epsilons: Sequence[Fraction] = (
-        Fraction(1, 10**6),
-        Fraction(1, 10**3),
-        Fraction(1),
-    ),
-) -> CollusionReport:
+def collusion_demo(scenario: Optional[Scenario] = None) -> CollusionReport:
     """Exhibit the collusion exploit against the alternative refund rule.
 
     A builder clones the default block, overbids it by epsilon, and reports
@@ -303,8 +268,7 @@ def collusion_demo(
             "outperforms every registered builder"
         )
     core = [b for b in sorted(bundles) if b not in honest.conflict_free]
-    if subject is None:
-        subject = core[0]
+    subject = core[0]
     beta0 = honest.beta0
     honest_refund = honest.searcher_ledger[subject].refund
     honest_utility = searcher_utility(subject, honest, bundles)
@@ -313,8 +277,7 @@ def collusion_demo(
     rows = []
     eq1_ok = True
     exploit_ok = True
-    for eps in epsilons:
-        eps = Fraction(eps)
+    for eps in COLLUSION_EPSILONS:
         bid = float(Fraction(beta0) + eps)
         lineup = base_builders + [_ColludingBuilder(honest.default_block, bid)]
         rigged = run_mechanism(scenario, builders=lineup)
@@ -537,7 +500,7 @@ def classify_adoption(scenario: Scenario) -> str:
     )
 
 
-def adoption_game(scenario: Scenario, partition_limit: int = 6) -> AdoptionReport:
+def adoption_game(scenario: Scenario) -> AdoptionReport:
     """Commit-vs-build-and-choose outcome for the proposer.
 
     The default algorithm is the only one in play, so registered builders
@@ -565,9 +528,9 @@ def adoption_game(scenario: Scenario, partition_limit: int = 6) -> AdoptionRepor
         )
 
     ids = sorted(bundles)
-    if len(ids) > partition_limit:
+    if len(ids) > ADOPTION_PARTITION_LIMIT:
         raise AdoptionScopeError(
-            f"exhaustive partition search capped at {partition_limit} bundles"
+            f"exhaustive partition search capped at {ADOPTION_PARTITION_LIMIT} bundles"
         )
     head = ExecutionContext((), one_time_label(base.seed))
     head_value = {i: bundles[i].valuation.evaluate(head) for i in ids}

@@ -146,6 +146,8 @@ def _plan_group_sizes(profile: Profile, rng: random.Random) -> list:
     weights = [profile.group_sizes[s] for s in sizes]
     if any(w < 0 for w in weights) or sum(weights) <= 0:
         raise GenerationError("group size weights must be non-negative, sum > 0")
+    if min(sizes) < 1:
+        raise GenerationError(f"group size {min(sizes)} is below 1")
     if max(sizes) > profile.n_bundles:
         raise GenerationError(
             f"group size {max(sizes)} exceeds n_bundles {profile.n_bundles}"

@@ -11,10 +11,9 @@ import io
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
-from pathlib import Path
 
 from blockmech.cli import main
-from blockmech.fixtures import example2_scenario
+from blockmech.fixtures import FIXTURE_DIR, example2_scenario
 from blockmech.harness import (
     adoption_sweep,
     compare_sweep,
@@ -34,8 +33,7 @@ from blockmech.strategies import (
 )
 from blockmech.workload import Profile
 
-REPO = Path(__file__).resolve().parent.parent
-EXAMPLE2 = str(REPO / "fixtures" / "example2.json")
+EXAMPLE2 = str(FIXTURE_DIR / "example2.json")
 
 # All groups strictly below the cutoff: per-group search is exhaustive, so
 # the default block must dominate every compared algorithm.

@@ -17,13 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockmech.cli import main
-from blockmech.fixtures import example2_scenario
+from blockmech.fixtures import FIXTURE_DIR
 from blockmech.reports import _RENDERERS, render
-from blockmech.scenario_io import load_scenario, save_scenario
+from blockmech.scenario_io import dumps_scenario, load_scenario
 
 REPO = Path(__file__).resolve().parent.parent
-EXAMPLE2 = str(REPO / "fixtures" / "example2.json")
-FIXTURES = sorted(str(p) for p in (REPO / "fixtures").glob("*.json"))
+EXAMPLE2 = str(FIXTURE_DIR / "example2.json")
+FIXTURES = sorted(str(p) for p in FIXTURE_DIR.glob("*.json"))
 
 
 def run_cli(capsys, *argv):
@@ -227,6 +227,9 @@ def test_threads_flag_never_changes_output(capsys, tmp_path):
         ["mechanism", EXAMPLE2, "--threads", "2"],
         ["oracle", EXAMPLE2, "--threads", "2"],
         ["groups", EXAMPLE2, "--threads", "2"],
+        ["groups", EXAMPLE2, "--seed", "3"],
+        ["groups", EXAMPLE2, "--k-cutoff", "2"],
+        ["oracle", EXAMPLE2, "--k-cutoff", "2"],
     ],
     ids=lambda argv: " ".join([argv[0]] + argv[2:]),
 )
@@ -236,10 +239,20 @@ def test_removed_flags_are_usage_errors(capsys, argv):
     assert "unrecognized arguments" in err and out == ""
 
 
-def test_fixture_files_match_constructors(tmp_path):
-    regenerated = tmp_path / "example2.json"
-    save_scenario(example2_scenario(), regenerated)
-    assert regenerated.read_bytes() == Path(EXAMPLE2).read_bytes()
+def test_compare_gen_refuses_k_cutoff(capsys):
+    code, out, err = run_cli(
+        capsys, "compare", "--gen", "realistic", "--n", "5", "--seed", "1",
+        "--k-cutoff", "2",
+    )
+    assert code == 2
+    assert "--k-cutoff" in err and out == ""
+
+
+def test_fixture_files_are_canonical():
+    assert len(FIXTURES) == 6
+    for path in FIXTURES:
+        text = Path(path).read_text(encoding="utf-8")
+        assert text == dumps_scenario(load_scenario(path)), path
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["NaN", "Infinity"])

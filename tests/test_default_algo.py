@@ -7,7 +7,6 @@ import pytest
 from blockmech.conflict import ConflictGroup, get_conflict_groups
 from blockmech.default_algo import (
     Strategy,
-    _counterfactual_blocks_naive,
     _GroupEvaluator,
     block_building,
     build_with_resolutions,
@@ -171,6 +170,15 @@ def test_counterfactual_sole_bundle():
     counter = counterfactual_blocks({1: lone}, 8, 0, LABEL)
     values = block_bids(counter[1], {1: lone}, LABEL, {1: ZERO_BID})
     assert sum(v for j, v in values.items() if j != 1) == 0
+
+
+def _counterfactual_blocks_naive(bundles, k_cutoff, seed, coinbase) -> dict:
+    """Reference for `counterfactual_blocks`: a full rebuild per zeroed
+    bundle."""
+    return {
+        i: block_building(bundles, k_cutoff, seed, coinbase, {i: ZERO_BID})
+        for i in sorted(bundles)
+    }
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11, 29])

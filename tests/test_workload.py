@@ -87,6 +87,14 @@ def test_infeasible_profile_rejected():
         generate_scenario(negative, 0)
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_group_size_below_one_rejected(size):
+    # such a size never shrinks what is left to plan, so it must not be drawn
+    profile = Profile(name="z", n_bundles=3, group_sizes={size: 1.0})
+    with pytest.raises(GenerationError, match="below 1"):
+        generate_scenario(profile, 0)
+
+
 def test_unknown_profile_name():
     with pytest.raises(GenerationError, match="unknown profile"):
         load_profile("definitely-not-a-profile")
