@@ -11,6 +11,7 @@ exploit failing to materialize, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from dataclasses import asdict, replace
@@ -69,10 +70,16 @@ def _load_with_overrides(args):
 
 def _emit(args, kind: str, body: dict, default_out: str = None) -> None:
     payload = report_payload(kind, body)
-    if args.format == "json":
-        sys.stdout.write(dumps_report(payload))
-    else:
-        print(render(payload))
+    text = dumps_report(payload) if args.format == "json" else render(payload) + "\n"
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early. Point stdout at /dev/null so the
+        # interpreter's final flush of the unwritten rest stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     out = args.out or default_out
     if out:
         write_report(out, payload)

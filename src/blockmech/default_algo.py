@@ -11,15 +11,37 @@ in the package runs whole scenarios, in `harness`.
 
 Enumerated and truncated groups are scored by one depth-first walk over the
 prefix tree of ordered subsets (`_walk`), which the exact oracle shares.
-Each node adds one contribution to its parent's total, so totals add left
-to right exactly as a from-scratch evaluation does. A node displaces the
-incumbent when its value is higher, or equal and the node shorter; since
-same-length nodes come out in lexicographic order, that is the first
-maximizer of the canonical order. A member's counterfactual value at a node
-is the node's total minus that member's contribution on the path (0.0 when
-absent), the same float subtraction as on a rescored candidate, so zeroed-
-bid resolutions are exact too. The two shortcuts score their short explicit
+Each node adds one contribution to its parent's total, left to right. A
+node displaces the incumbent when its value is higher, or equal and the
+node shorter; since same-length nodes come out in lexicographic order, that
+is the first maximizer of the canonical order. A member's counterfactual
+value at a node is the node's total minus that member's contribution on the
+path (0.0 when absent). The two shortcuts score their short explicit
 candidate lists directly.
+
+The walk skips orderings that hold a commuting pair out of order
+(partial-order reduction over Mazurkiewicz traces). Two bundles commute
+when neither one's effective writes meet the other's footprint and no third
+pool member's footprint meets the effective writes of both: swapping them
+where they stand next to each other changes no bundle's predecessor
+sequence, so it changes no contribution, with or without any bid zeroed.
+The walk never places a bundle directly after a higher-id bundle it
+commutes with; the orderings it keeps are in commuting normal form. Every
+skipped ordering can be bubbled, by such swaps, into a kept one that has
+the same length and contributions and is lexicographically smaller. So
+every class of orderings equal up to such swaps keeps its lexicographic
+minimum, and the canonical first maximizer of every objective is kept. A
+class can keep more than one ordering: with x < a < b, a commuting with b
+and x, and b and x not commuting, both (a, b, x) and (b, x, a) are kept.
+Which orderings are skipped depends on the declared read and write sets
+and the label alone, never on bids.
+
+Float caveat: a kept ordering adds the same contributions as the orderings
+it stands for, but in its own order. For integer and dyadic bids that is
+exact; for others (0.1-step bids, say) the skipped orderings' float totals
+may differ in the last place, so the maximizer returned can differ from a
+full scan's by a rounding artefact. The value reported is always the left-
+to-right float total of the block returned.
 
 The candidate sub-blocks considered for a group depend only on the group's
 membership, the cutoff, the seed, and the declared transaction structure,
@@ -145,11 +167,14 @@ def _plan(group: ConflictGroup, bundles, k_cutoff: int, seed: int) -> tuple:
 def candidate_set(
     group: ConflictGroup, bundles, k_cutoff: int, seed: int
 ) -> Iterator[Block]:
-    """Candidate sub-blocks for one group, in canonical enumeration order.
+    """Candidate sub-blocks for one group, in canonical enumeration order:
+    the range the group's optimum is taken over.
 
     The canonical order (sizes ascending, members in id order, permutations
     lexicographic) defines the tie-breaking rule: the first maximizer wins.
-    Bids are deliberately absent from the signature.
+    An enumerated or truncated group's walk scores only the candidates in
+    commuting normal form (see the module docstring), which reach the same
+    optimum. Bids are deliberately absent from the signature.
     """
     _, pool, shortlist = _plan(group, bundles, k_cutoff, seed)
     yield from _ordered_subsets(pool) if shortlist is None else shortlist
@@ -224,19 +249,33 @@ def _walk(
     counterfactuals: bool,
     transcript: Optional[list] = None,
 ) -> tuple:
-    """Score every ordered subset of the evaluator's bundles once, by a
-    depth-first walk over their prefix tree in id order (see the module
-    docstring for why the result equals a scan in canonical order).
+    """Score the ordered subsets of the evaluator's bundles that hold no
+    commuting pair out of order, by a depth-first walk over their prefix
+    tree in id order. The module docstring says which orderings are skipped
+    and why the result is still the first maximizer in canonical order.
 
-    Each node's table signatures come from the placed path, built once per
-    node. `cur[q]` holds bundle q's contribution on the current path, 0.0
-    when q is absent. A `transcript` receives the nodes in walk order.
-    Returns (block, value, {id: (block, value with its bid zeroed)}), the
-    dict empty without `counterfactuals`.
+    The skip masks come from `affects` alone, so the walked nodes do not
+    depend on bids; a skipped child prunes its whole subtree. Each node's
+    table signatures come from the placed path, built once per node.
+    `cur[q]` holds bundle q's contribution on the current path, 0.0 when q
+    is absent. A `transcript` receives the nodes in walk order. Returns
+    (block, value, {id: (block, value with its bid zeroed)}), the dict empty
+    without `counterfactuals`; each value is the left-to-right float total
+    of its block.
     """
     ids, const, entries = evaluator.ids, evaluator.const, evaluator.entries
     default, affects, idstr = evaluator.default, evaluator.affects, evaluator.idstr
     n = len(ids)
+    # indep[a]: the lower slots that commute with a, never placed directly
+    # after it. `dep` holds the slots whose swap with a can change a
+    # contribution, because one reads the other or a third slot reads both.
+    indep = [0] * n
+    for a in range(1, n):
+        dep = affects[a]
+        for r, mask in enumerate(affects):
+            if mask >> a & 1:
+                dep |= mask | 1 << r
+        indep[a] = ~dep & ((1 << a) - 1)
     path: list = []  # evaluator slots of the current node, in order
     cur = [0.0] * n
     w_block = [()] * n
@@ -247,9 +286,13 @@ def _walk(
     if transcript is not None:
         transcript.append(())
 
-    def visit(block: Block, total: float, free: tuple, depth: int) -> None:
+    def visit(
+        block: Block, total: float, free: tuple, depth: int, skip: int
+    ) -> None:
         nonlocal best_block, best_value
         for k, p in enumerate(free):
+            if skip >> p & 1:
+                continue
             c = const[p]
             if c is None:
                 mask = affects[p]
@@ -271,11 +314,11 @@ def _walk(
                         w_block[q], w_value[q], w_len[q] = node, w, depth
             if depth < n:
                 path.append(p)
-                visit(node, value, free[:k] + free[k + 1:], depth + 1)
+                visit(node, value, free[:k] + free[k + 1:], depth + 1, indep[p])
                 path.pop()
             cur[p] = 0.0
 
-    visit((), 0.0, tuple(range(n)), 1)
+    visit((), 0.0, tuple(range(n)), 1, 0)
     without = {ids[q]: (w_block[q], w_value[q]) for q in range(n)}
     return best_block, best_value, without if counterfactuals else {}
 
@@ -348,8 +391,11 @@ def resolve_group(
     first maximizer in canonical order.
 
     A `transcript` list, when supplied, receives every candidate scored, in
-    walk order; comparing transcripts across bid profiles is how the
-    candidate set's bid independence is audited.
+    walk order: for an enumerated or truncated group, the members of
+    `candidate_set` in commuting normal form (no adjacent pair with the
+    higher id first that commutes); for a shortcut, the whole list.
+    Comparing transcripts across bid profiles is how the candidate set's
+    bid independence is audited.
     """
     resolution, _ = _resolve(
         group, bundles, k_cutoff, seed, coinbase, bids, False, transcript
@@ -374,9 +420,9 @@ def resolve_group_with_counterfactuals(
     value is the node's total minus i's contribution on the path, 0.0 when i
     is absent; a node displaces i's incumbent when that value is higher, or
     equal and the node shorter, the same first maximizer as a literal rerun
-    in canonical order. Shortcut groups score their explicit candidates in
-    list order. Returns (GroupResolution, {member id: (sub_block, value of
-    others)}).
+    in canonical order, up to the module docstring's float caveat. Shortcut
+    groups score their explicit candidates in list order. Returns
+    (GroupResolution, {member id: (sub_block, value of others)}).
     """
     return _resolve(group, bundles, k_cutoff, seed, coinbase, bids, True)
 

@@ -302,7 +302,8 @@ def block_bids(
         hits: set = set()
         for key in b.footprint:
             hits.update(writers.get(key, ()))
-        preds = tuple(block[p] for p in sorted(hits))
+        # A list, not a generator: repeated generator frames ratchet peak RSS.
+        preds = tuple([block[p] for p in sorted(hits)])
         fn = bids.get(i) if bids is not None else None
         values[i] = evaluate_bid(b, ExecutionContext(preds, coinbase), fn)
         for key in b.effective_writes(coinbase):

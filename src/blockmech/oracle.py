@@ -4,14 +4,18 @@ Exponential-time ground truth for small instances: every ordered subset of
 the bundles is a candidate block, the total-bid maximizer wins, and each
 bundle is charged its externality via the refund rule. One walk of the
 default algorithm's prefix tree (`default_algo._walk`), with all bundles as
-one pool, scores every block once: a node adds one contribution to its
-parent's total, so totals equal a left-to-right `block_bids` sum bit for
-bit; a node displaces the incumbent when its value is higher, or equal and
-the node shorter, which keeps the canonical first maximizer; and a bundle's
-counterfactual value at a node is the node's total minus its contribution
-on the path (0.0 when absent). Used to cross-check the default algorithm
-and the mechanism's refund logic; refuses instances past the size cap
-rather than approximating.
+one pool, scores every block that holds no commuting pair out of order: a
+node adds one contribution to its parent's total, so a node's total is the
+left-to-right `block_bids` sum of its block; a node displaces the incumbent
+when its value is higher, or equal and the node shorter, which keeps the
+canonical first maximizer; and a bundle's counterfactual value at a node
+is the node's total minus its contribution on the path (0.0 when absent).
+Bundles in different conflict groups always commute, so a multi-group
+instance costs about the product of its groups' walks, not the full block
+space; the default cap still applies unless a caller passes a larger
+`limit`.
+Used to cross-check the default algorithm and the mechanism's refund logic;
+refuses instances past the size cap rather than approximating.
 """
 
 from __future__ import annotations

@@ -599,3 +599,46 @@ def test_malformed_profile_is_a_located_usage_error(
     assert err.startswith("error: " + location.format(path=profile))
     assert "Traceback" not in err and out == ""
     assert not (tmp_path / "s.json").exists()
+
+
+def _cli_process(argv, cwd, **kwargs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    )
+    return subprocess.Popen(
+        [sys.executable, "-m", "blockmech.cli", *argv], cwd=cwd, env=env, **kwargs
+    )
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_reader_closing_the_pipe_early_is_quiet(capsys, tmp_path, fmt):
+    # 3,000 bundles print about 100 KB of table and 280 KB of JSON, more
+    # than a pipe buffers, so the writer meets the closed pipe.
+    profile = tmp_path / "big-profile.json"
+    profile.write_text('{"n_bundles": 3000, "group_sizes": {"1": 6, "2": 3, "3": 1}}')
+    scenario = tmp_path / "big.json"
+    run_cli(capsys, "gen", "--profile", str(profile), "--seed", "1", "--out", str(scenario))
+    argv = ["mechanism", str(scenario), "--format", fmt]
+
+    unpiped = _cli_process(
+        [*argv, "--out", "unpiped.json"], tmp_path, stdout=subprocess.DEVNULL
+    )
+    assert unpiped.wait(timeout=120) == 0
+
+    piped = _cli_process(
+        [*argv, "--out", "piped.json"],
+        tmp_path,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        bufsize=0,
+    )
+    assert piped.stdout.read(16)
+    piped.stdout.close()
+    err = piped.stderr.read()
+    piped.stderr.close()
+    assert piped.wait(timeout=120) == 0
+    assert err == b""
+    assert (tmp_path / "piped.json").read_bytes() == (
+        tmp_path / "unpiped.json"
+    ).read_bytes()

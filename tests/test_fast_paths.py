@@ -6,12 +6,15 @@
 - the incremental greedies against the quadratic greedy kept below;
 - builders reusing the default block against ones that rebuild it;
 - the prefix-tree walk of `default_algo` against the per-candidate scan,
-  and the oracle built on it against a `full_omega` + `block_bids` loop.
+  and the oracle built on it against a `full_omega` + `block_bids` loop;
+- the walk's transcript against the normal forms of `candidate_set`, with
+  commuting bundles derived from the declared read and write sets.
 
 Generated bids are integers, so the fast and slow routes must agree
 exactly; the one fractional refund case states its tolerance. The walk
-performs the same float operations as the scan, so it must agree exactly
-on fractional bids too.
+adds a kept ordering's contributions in another order than the skipped
+orderings it stands for, so on fractional bids it must reach the exact
+optimum rather than the scan's float bits.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import itertools
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -469,6 +473,91 @@ def _strategy_group(strategy: Strategy, seed: int) -> tuple:
     return bundles, 4
 
 
+_WALKED = (Strategy.ENUMERATED, Strategy.TRUNCATED)
+
+
+def _commuting_pairs(pool, bundles, coinbase) -> set:
+    """Ordered pairs of `pool` members whose adjacent swap changes no
+    member's predecessor sequence: neither one's effective writes meet the
+    other's footprint, and no third member's footprint meets both."""
+    eff = {i: bundles[i].effective_writes(coinbase) for i in pool}
+    reads = {
+        (s, t) for s in pool for t in pool if s != t and eff[s] & bundles[t].footprint
+    }
+    return {
+        (a, b)
+        for a in pool
+        for b in pool
+        if a != b
+        and (a, b) not in reads
+        and (b, a) not in reads
+        and not any((a, r) in reads and (b, r) in reads for r in pool)
+    }
+
+
+def _descending_commuting_pair(block, commuting):
+    """Index k of the first adjacent pair with block[k + 1] < block[k] that
+    commutes, or None when `block` is in normal form."""
+    for k in range(len(block) - 1):
+        if block[k + 1] < block[k] and (block[k], block[k + 1]) in commuting:
+            return k
+    return None
+
+
+def _normal_form(block, commuting) -> tuple:
+    """`block` with descending commuting neighbours swapped until none is
+    left: an equivalent the walk keeps, with the same contributions."""
+    block = list(block)
+    k = _descending_commuting_pair(block, commuting)
+    while k is not None:
+        block[k], block[k + 1] = block[k + 1], block[k]
+        k = _descending_commuting_pair(block, commuting)
+    return tuple(block)
+
+
+def _assert_transcript_holds_normal_forms(
+    group, bundles, k_cutoff, seed, coinbase, bids, transcript
+):
+    """The walk scores exactly the candidates in normal form, and every
+    candidate's normal form is scored with the same bid for every bundle."""
+    candidates = list(candidate_set(group, bundles, k_cutoff, seed))
+    pool = sorted({i for block in candidates for i in block})
+    commuting = _commuting_pairs(pool, bundles, coinbase)
+    kept = [
+        block
+        for block in candidates
+        if _descending_commuting_pair(block, commuting) is None
+    ]
+    assert sorted(transcript) == sorted(kept)
+    walked = set(transcript)
+    for block in candidates:
+        normal = _normal_form(block, commuting)
+        assert normal in walked, block
+        assert block_bids(normal, bundles, coinbase, bids) == block_bids(
+            block, bundles, coinbase, bids
+        ), block
+
+
+def _assert_exact_optimum(group, bundles, k_cutoff, seed, coinbase, bids, res, without):
+    """Each returned block attains, in exact arithmetic, the optimum of its
+    objective over the full candidate set: the total bid, or the total
+    with one member's bid zeroed. Each reported value is the walk's own
+    left-to-right float total of the block it returns."""
+    candidates = list(candidate_set(group, bundles, k_cutoff, seed))
+    floats = {b: block_bids(b, bundles, coinbase, bids) for b in candidates}
+    exact = {b: {i: Fraction(v) for i, v in f.items()} for b, f in floats.items()}
+
+    def objective(block, zeroed=None):
+        return sum(v for i, v in exact[block].items() if i != zeroed)
+
+    assert objective(res.sub_block) == max(objective(b) for b in candidates)
+    assert res.value == sum(floats[res.sub_block].values(), 0.0)
+    for i, (block, value) in without.items():
+        assert objective(block, i) == max(objective(b, i) for b in candidates), i
+        total = sum(floats[block].values(), 0.0)
+        assert value == total - floats[block].get(i, 0.0), i
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
 def test_walk_equals_per_candidate_scan(strategy, seed):
@@ -488,15 +577,67 @@ def test_walk_equals_per_candidate_scan(strategy, seed):
                 group, bundles, k_cutoff, seed, label, bids, transcript
             )
             assert res.strategy is base.strategy is strategy
-            expected = _exact(ref_block, ref_value)
-            assert _exact(res.sub_block, res.value) == expected, name
-            assert _exact(base.sub_block, base.value) == expected, name
-            assert {i: _exact(*w) for i, w in without.items()} == {
-                i: _exact(*w) for i, w in ref_without.items()
-            }, name
-            assert sorted(transcript, key=lambda b: (len(b), b)) == list(
-                candidate_set(group, bundles, k_cutoff, seed)
-            )
+            assert _exact(base.sub_block, base.value) == _exact(
+                res.sub_block, res.value
+            ), name
+            if strategy in _WALKED and name == "fractional":
+                # 0.1-step bids: commuting orders round differently.
+                _assert_exact_optimum(
+                    group, bundles, k_cutoff, seed, label, bids, res, without
+                )
+            else:
+                expected = _exact(ref_block, ref_value)
+                assert _exact(res.sub_block, res.value) == expected, name
+                assert {i: _exact(*w) for i, w in without.items()} == {
+                    i: _exact(*w) for i, w in ref_without.items()
+                }, name
+            if strategy in _WALKED:
+                _assert_transcript_holds_normal_forms(
+                    group, bundles, k_cutoff, seed, label, bids, transcript
+                )
+            else:
+                assert transcript == list(
+                    candidate_set(group, bundles, k_cutoff, seed)
+                )
+
+
+def _walked_groups() -> list:
+    """(id, bundles, group, k_cutoff, seed, strategy): order-sensitive
+    enumerated and truncated groups, and the groups of a generated scenario."""
+    cases = []
+    for n, k_cutoff in ((5, 8), (6, 8), (9, 7)):
+        bundles = _order_sensitive_bundles(random.Random(400 + n), n)
+        group = ConflictGroup(frozenset(bundles))
+        strategy = Strategy.ENUMERATED if n < k_cutoff else Strategy.TRUNCATED
+        cases.append((f"{strategy.value}-{n}", bundles, group, k_cutoff, n, strategy))
+    scenario = SCENARIOS["realistic-17"]()
+    bundles = scenario.bundle_map()
+    for group in get_conflict_groups(bundles):
+        if len(group) < 2:
+            continue
+        members = "-".join(map(str, group.sorted_members()))
+        cases.append(
+            (f"realistic-17/{members}", bundles, group, scenario.k_cutoff,
+             scenario.seed, Strategy.ENUMERATED)
+        )
+    return cases
+
+
+@pytest.mark.parametrize(
+    "bundles, group, k_cutoff, seed, strategy",
+    [case[1:] for case in _walked_groups()],
+    ids=[case[0] for case in _walked_groups()],
+)
+def test_walk_transcript_is_the_commuting_normal_forms(
+    bundles, group, k_cutoff, seed, strategy
+):
+    assert classify_group(group, bundles, k_cutoff) is strategy
+    for label in (GATE, builder_label(1)):  # gate matches, gate does not
+        transcript = []
+        resolve_group(group, bundles, k_cutoff, seed, label, None, transcript)
+        _assert_transcript_holds_normal_forms(
+            group, bundles, k_cutoff, seed, label, None, transcript
+        )
 
 
 def _assert_oracle_matches(bundles, label, bids):

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from blockmech.model import CoinbaseLabel, block_bids, exclusive_bid
+from blockmech.conflict import conflict_free_set, get_conflict_groups
+from blockmech.default_algo import default_pass
+from blockmech.model import CoinbaseLabel, block_bids, exclusive_bid, one_time_label
 from blockmech.oracle import OracleSizeError, full_omega, vcg_outcome
+from blockmech.workload import PROFILES, generate_scenario
 
 from conftest import key, make_bundle
 
@@ -104,3 +107,35 @@ def test_three_bundle_truthfulness_grid():
         truthful = utility(truth)
         for factor in (0.0, 0.25, 0.5, 2.0, 4.0):
             assert utility(truth.scaled(factor)) <= truthful
+
+
+def test_default_refunds_equal_vcg_refunds_beyond_eight_bundles():
+    # Generated cores of 10-12 bundles in several groups, each below the
+    # cutoff, so the default pass is exact per group. Groups are separable,
+    # and the bids are integers, so group-local refunds must equal the
+    # refunds of the exact oracle over the whole core, bit for bit.
+    checked = 0
+    for seed in range(40):
+        scenario = generate_scenario(PROFILES["realistic"], seed)
+        bundles = scenario.bundle_map()
+        groups = get_conflict_groups(bundles)
+        free = conflict_free_set(groups)
+        core = {i: b for i, b in bundles.items() if i not in free}
+        core_groups = [g for g in groups if len(g) > 1]
+        if not 10 <= len(core) <= 12 or len(core_groups) < 2:
+            continue
+        if max(len(g) for g in core_groups) >= scenario.k_cutoff:
+            continue
+        label = one_time_label(scenario.seed)
+        resolved = default_pass(
+            core_groups, core, scenario.k_cutoff, scenario.seed, label
+        )
+        refunds = {
+            i: res.value - others
+            for res, counterfactuals in resolved
+            for i, (_, others) in counterfactuals.items()
+        }
+        exact = vcg_outcome(core, label, limit=len(core))
+        assert refunds == exact.refunds, seed
+        checked += 1
+    assert checked >= 8
