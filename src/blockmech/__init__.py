@@ -9,9 +9,7 @@ from .default_algo import (
     build_with_resolutions,
     candidate_set,
     counterfactual_blocks,
-    is_feasible,
     resolve_group,
-    select_subset,
 )
 from .mechanism import (
     BuilderAlgorithm,

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .baselines import compare_algorithms
 from .conflict import get_conflict_groups
-from .default_algo import build_with_resolutions, counterfactual_blocks
+from .default_algo import DEFAULT_K_CUTOFF, build_with_resolutions, counterfactual_blocks
 from .harness import (
     adoption_sweep,
     compare_sweep,
@@ -29,7 +29,7 @@ from .harness import (
 )
 from .mechanism import MechanismError, run_mechanism
 from .model import ModelError, block_bids, block_total_bid, one_time_label
-from .oracle import OracleSizeError, full_omega, vcg_outcome
+from .oracle import DEFAULT_OMEGA_LIMIT, OracleSizeError, full_omega, vcg_outcome
 from .reports import dumps_report, render, report_payload, write_report
 from .scenario_io import ScenarioParseError, load_scenario, save_scenario
 from .strategies import (
@@ -270,7 +270,7 @@ def _cmd_game(args) -> int:
 
 def _cmd_gen(args) -> int:
     profile = load_profile(args.profile)
-    scenario = generate_scenario(profile, args.seed or 0, args.k_cutoff or 8)
+    scenario = generate_scenario(profile, args.seed, args.k_cutoff)
     save_scenario(scenario, args.out)
     groups = get_conflict_groups(scenario.bundle_map())
     print(
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = on_scenario(
         "oracle", _cmd_oracle, "exact enumeration outcome (small instances)", ("seed",)
     )
-    p.add_argument("--limit", type=int, default=8)
+    p.add_argument("--limit", type=int, default=DEFAULT_OMEGA_LIMIT)
     on_scenario("mechanism", _cmd_mechanism, "run the full mechanism and print ledgers")
     on_scenario("groups", _cmd_groups, "conflict-group histogram", ())
 
@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("gen", _cmd_gen, "generate a scenario file from a profile", False)
     p.add_argument("--profile", required=True, help="builtin name or profile JSON")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k-cutoff", type=int, default=8)
+    p.add_argument("--k-cutoff", type=int, default=DEFAULT_K_CUTOFF)
     p.add_argument("--out", required=True)
 
     return parser

@@ -1,13 +1,14 @@
 """Default block-building algorithm.
 
 Bundles are partitioned into conflict groups and each group is resolved
-independently: small groups by exhaustive search over every ordered subset,
-large groups by structural shortcuts (a shared pivot transaction, or a
-single common target contract) and, as a last resort, by deterministic
-truncation to a subset small enough to enumerate. One seeded member order
-serves both the same-target candidate and the truncation ranking. Groups
-are resolved one after another in the calling thread; the only worker pool
-in the package runs whole scenarios, in `harness`.
+independently. One plan per group (`_plan`) picks the search: exhaustive
+over every ordered subset below the cutoff; above it, a structural shortcut
+(a shared pivot transaction, or a single common target contract) or, as a
+last resort, deterministic truncation to a subset small enough to
+enumerate. One seeded member order serves both the same-target candidate
+and the truncation ranking. Groups are resolved one after another in the
+calling thread; the only worker pool in the package runs whole scenarios,
+in `harness`.
 
 Enumerated and truncated groups are scored by one depth-first walk over the
 prefix tree of ordered subsets (`_walk`), which the exact oracle shares.
@@ -16,8 +17,8 @@ node displaces the incumbent when its value is higher, or equal and the
 node shorter; since same-length nodes come out in lexicographic order, that
 is the first maximizer of the canonical order. A member's counterfactual
 value at a node is the node's total minus that member's contribution on the
-path (0.0 when absent). The two shortcuts score their short explicit
-candidate lists directly.
+path (0.0 when absent). The two shortcuts score each candidate of their
+short explicit lists with `model.block_bids` (`_scan`).
 
 The walk skips orderings that hold a commuting pair out of order
 (partial-order reduction over Mazurkiewicz traces). Two bundles commute
@@ -60,15 +61,14 @@ from typing import Iterator, Mapping, Optional
 
 from .conflict import ConflictGroup, get_conflict_groups
 from .model import (
+    DEFAULT_K_CUTOFF,  # re-exported: the cutoff's home is `model`
     Block,
     CoinbaseLabel,
     ConstantBid,
     GatedBid,
     as_bundle_map,
-    one_time_label,
+    block_bids,
 )
-
-DEFAULT_K_CUTOFF = 8
 
 
 class Strategy(enum.Enum):
@@ -88,80 +88,43 @@ class GroupResolution:
     value: float
 
 
-def is_feasible(group: ConflictGroup, bundles) -> Optional[Strategy]:
-    """Shortcut classification for a large group.
-
-    SHARED_PIVOT when one tx hash appears in every member (sandwiches of a
-    common victim: at most one bundle can land, so singletons suffice).
-    SAME_TARGET when every tx of every member hits one contract address
-    (relative order is value-irrelevant, one seeded ordering suffices).
-    None when no shortcut applies.
-    """
-    by_id = as_bundle_map(bundles)
-    members = group.sorted_members()
-    shared = set(tx.tx_hash for tx in by_id[members[0]].txs)
-    for i in members[1:]:
-        shared &= {tx.tx_hash for tx in by_id[i].txs}
-        if not shared:
-            break
-    if shared:
-        return Strategy.SHARED_PIVOT
-    targets = {tx.target for i in members for tx in by_id[i].txs}
-    if len(targets) == 1:
-        return Strategy.SAME_TARGET
-    return None
-
-
-def _order_hash(seed: int, tx_hash: str) -> str:
-    return hashlib.blake2b(
-        f"{seed}:{tx_hash}".encode(), digest_size=16
-    ).hexdigest()
-
-
-def _seeded_order(members, bundles, seed: int) -> list:
-    """Members ordered by the seeded hash of their first tx hash, ties by id.
-    Used both as the SAME_TARGET candidate and as the truncation ranking."""
-    by_id = as_bundle_map(bundles)
-    return sorted(
-        members, key=lambda i: (_order_hash(seed, by_id[i].txs[0].tx_hash), i)
-    )
-
-
-def select_subset(group: ConflictGroup, bundles, k: int, seed: int) -> list:
-    """Deterministic top-k of a group in the seeded order."""
-    members = group.sorted_members()
-    if k >= len(members):
-        return members
-    return _seeded_order(members, bundles, seed)[:k]
-
-
 def _ordered_subsets(members: list) -> Iterator[Block]:
     for size in range(len(members) + 1):
         yield from permutations(members, size)
-
-
-def classify_group(group: ConflictGroup, bundles, k_cutoff: int) -> Strategy:
-    if len(group) < k_cutoff:
-        return Strategy.ENUMERATED
-    shortcut = is_feasible(group, bundles)
-    return shortcut if shortcut is not None else Strategy.TRUNCATED
 
 
 def _plan(group: ConflictGroup, bundles, k_cutoff: int, seed: int) -> tuple:
     """(strategy, pool, shortlist) for one group. `pool` holds the sorted ids
     the candidates draw from. An ENUMERATED or TRUNCATED group has no
     `shortlist`: every ordered subset of its pool is a candidate. A shortcut
-    lists its candidates explicitly."""
-    strategy = classify_group(group, bundles, k_cutoff)
+    lists its candidates explicitly.
+
+    A group smaller than `k_cutoff` is ENUMERATED. Any other group is
+    SHARED_PIVOT when one tx hash appears in every member (sandwiches of a
+    common victim: at most one bundle can land, so singletons suffice);
+    SAME_TARGET when every tx of every member hits one contract address
+    (relative order is value-irrelevant, one seeded ordering suffices); and
+    otherwise TRUNCATED to its first `k_cutoff - 1` members in the seeded
+    order. The seeded order ranks members by a seeded hash of their first
+    tx hash, ties by id; it is both the SAME_TARGET candidate and the
+    truncation ranking.
+    """
     members = group.sorted_members()
-    if strategy is Strategy.ENUMERATED:
-        return strategy, members, None
-    if strategy is Strategy.TRUNCATED:
-        selected = select_subset(group, bundles, k_cutoff - 1, seed)
-        return strategy, sorted(selected), None
-    if strategy is Strategy.SHARED_PIVOT:
-        return strategy, members, [(i,) for i in members]
-    return strategy, members, [tuple(_seeded_order(members, bundles, seed))]
+    if len(members) < k_cutoff:
+        return Strategy.ENUMERATED, members, None
+    by_id = as_bundle_map(bundles)
+    if set.intersection(*({tx.tx_hash for tx in by_id[i].txs} for i in members)):
+        return Strategy.SHARED_PIVOT, members, [(i,) for i in members]
+
+    def rank(i):
+        tx_hash = by_id[i].txs[0].tx_hash
+        digest = hashlib.blake2b(f"{seed}:{tx_hash}".encode(), digest_size=16)
+        return digest.hexdigest(), i
+
+    seeded = sorted(members, key=rank)
+    if len({tx.target for i in members for tx in by_id[i].txs}) == 1:
+        return Strategy.SAME_TARGET, members, [tuple(seeded)]
+    return Strategy.TRUNCATED, sorted(seeded[: k_cutoff - 1]), None
 
 
 def candidate_set(
@@ -181,18 +144,17 @@ def candidate_set(
 
 
 class _GroupEvaluator:
-    """Bid evaluation specialized for one bundle set under a fixed label and
+    """The tables `_walk` reads for one bundle set under a fixed label and
     bid profile.
 
     Gate checks and gated-bid unwrapping happen once up front, predecessor
     filtering works on precomputed bitmasks, and table lookups reuse interned
-    id strings. Semantics are identical to model.block_bids under the same
-    label and profile; the test suite asserts the two routes agree.
+    id strings. Every contribution equals `model.block_bids`'s under the same
+    label and profile; the test suite pins the walk to a `block_bids` scan.
     """
 
     def __init__(self, bundles: dict, coinbase: CoinbaseLabel, bids=None):
         self.ids = ids = sorted(bundles)
-        self.index = {i: n for n, i in enumerate(ids)}
         self.idstr = [str(i) for i in ids]
         count = len(ids)
         self.const = [None] * count
@@ -223,25 +185,6 @@ class _GroupEvaluator:
             else:
                 self.entries[t] = dict(fn.entries)  # plain dict: faster .get
                 self.default[t] = fn.default
-
-    def values(self, block: Block) -> tuple:
-        """(total bid, per-element contributions aligned with the block)."""
-        total = 0.0
-        contribs = []
-        placed: list = []
-        index = self.index
-        idstr = self.idstr
-        for i in block:
-            t = index[i]
-            value = self.const[t]
-            if value is None:
-                mask = self.affects[t]
-                sig = ",".join(idstr[s] for s in placed if mask >> s & 1)
-                value = self.entries[t].get(sig, self.default[t])
-            total += value
-            contribs.append(value)
-            placed.append(t)
-        return total, contribs
 
 
 def _walk(
@@ -324,27 +267,32 @@ def _walk(
 
 
 def _scan(
-    evaluator: _GroupEvaluator,
+    pool: list,
+    bundles: dict,
     shortlist: list,
+    coinbase: CoinbaseLabel,
+    bids: Optional[Mapping],
     counterfactuals: bool,
     transcript: Optional[list] = None,
 ) -> tuple:
     """`_walk`'s result for an explicit candidate list, which is not
-    prefix-closed: each candidate scored from scratch, first maximizer in
-    list order."""
+    prefix-closed: each candidate scored by `model.block_bids`, summed left
+    to right, first maximizer in list order."""
     best: Optional[Block] = None
     best_value = 0.0
     without: dict = {}
     for block in shortlist:
         if transcript is not None:
             transcript.append(block)
-        total, contribs = evaluator.values(block)
+        values = block_bids(block, bundles, coinbase, bids)
+        total = 0.0
+        for value in values.values():
+            total += value
         if best is None or total > best_value:
             best, best_value = block, total
         if counterfactuals:
-            contrib_of = dict(zip(block, contribs))
-            for i in evaluator.ids:
-                value = total - contrib_of.get(i, 0.0)
+            for i in pool:
+                value = total - values.get(i, 0.0)
                 if i not in without or value > without[i][1]:
                     without[i] = (block, value)
     return best, best_value, without
@@ -362,12 +310,12 @@ def _resolve(
 ) -> tuple:
     by_id = as_bundle_map(bundles)
     strategy, pool, shortlist = _plan(group, by_id, k_cutoff, seed)
-    evaluator = _GroupEvaluator({i: by_id[i] for i in pool}, coinbase, bids)
     if shortlist is None:
+        evaluator = _GroupEvaluator({i: by_id[i] for i in pool}, coinbase, bids)
         best, value, without = _walk(evaluator, counterfactuals, transcript)
     else:
         best, value, without = _scan(
-            evaluator, shortlist, counterfactuals, transcript
+            pool, by_id, shortlist, coinbase, bids, counterfactuals, transcript
         )
     resolution = GroupResolution(group, strategy, best, value)
     if not counterfactuals:
@@ -429,9 +377,9 @@ def resolve_group_with_counterfactuals(
 
 def build_with_resolutions(
     bundles,
-    k_cutoff: int = DEFAULT_K_CUTOFF,
-    seed: int = 0,
-    coinbase: Optional[CoinbaseLabel] = None,
+    k_cutoff: int,
+    seed: int,
+    coinbase: CoinbaseLabel,
     bids: Optional[Mapping] = None,
 ) -> tuple:
     """Resolve every group and concatenate the sub-blocks.
@@ -441,8 +389,6 @@ def build_with_resolutions(
     Returns (block, [GroupResolution]).
     """
     by_id = as_bundle_map(bundles)
-    if coinbase is None:
-        coinbase = one_time_label(seed)
     resolutions = [
         resolve_group(g, by_id, k_cutoff, seed, coinbase, bids)
         for g in get_conflict_groups(by_id)
@@ -453,58 +399,36 @@ def build_with_resolutions(
 
 def block_building(
     bundles,
-    k_cutoff: int = DEFAULT_K_CUTOFF,
-    seed: int = 0,
-    coinbase: Optional[CoinbaseLabel] = None,
+    k_cutoff: int,
+    seed: int,
+    coinbase: CoinbaseLabel,
     bids: Optional[Mapping] = None,
 ) -> Block:
     block, _ = build_with_resolutions(bundles, k_cutoff, seed, coinbase, bids)
     return block
 
 
-def default_pass(
-    groups,
+def counterfactual_blocks(
     bundles,
     k_cutoff: int,
     seed: int,
     coinbase: CoinbaseLabel,
-    bids: Optional[Mapping] = None,
-) -> list:
-    """One default-algorithm pass over the given conflict groups of
-    `bundles`: per group, in order, the pair (GroupResolution,
-    {member id: (sub_block, value of others)}) from one enumeration.
-
-    Concatenating the base sub-blocks gives the default block; zeroing
-    member i's bid swaps in i's sub-block for its own group only.
-    """
-    by_id = as_bundle_map(bundles)
-    return [
-        resolve_group_with_counterfactuals(g, by_id, k_cutoff, seed, coinbase, bids)
-        for g in groups
-    ]
-
-
-def counterfactual_blocks(
-    bundles,
-    k_cutoff: int = DEFAULT_K_CUTOFF,
-    seed: int = 0,
-    coinbase: Optional[CoinbaseLabel] = None,
     bids: Optional[Mapping] = None,
 ) -> dict:
     """For each bundle i, the block built with i's bid forced to zero.
 
     Zeroing one bid can only change the resolution of that bundle's own
     group, so the other groups' sub-blocks are spliced in unchanged from
-    `default_pass` (asserted equal to the full rerun by the test suite).
-    The bundle stays in the input and may still be included at zero bid;
-    the seed (and therefore every candidate set) is unchanged.
+    one pass of `resolve_group_with_counterfactuals` (asserted equal to the
+    full rerun by the test suite). The bundle stays in the input and may
+    still be included at zero bid; the seed (and therefore every candidate
+    set) is unchanged.
     """
     by_id = as_bundle_map(bundles)
-    if coinbase is None:
-        coinbase = one_time_label(seed)
-    resolved = default_pass(
-        get_conflict_groups(by_id), by_id, k_cutoff, seed, coinbase, bids
-    )
+    resolved = [
+        resolve_group_with_counterfactuals(g, by_id, k_cutoff, seed, coinbase, bids)
+        for g in get_conflict_groups(by_id)
+    ]
     out = {}
     for slot, (_, counterfactuals) in enumerate(resolved):
         for i, (sub_block, _) in counterfactuals.items():
@@ -514,4 +438,3 @@ def counterfactual_blocks(
             ]
             out[i] = tuple(x for part in parts for x in part)
     return {i: out[i] for i in sorted(out)}
-

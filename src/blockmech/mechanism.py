@@ -30,7 +30,7 @@ from typing import Mapping, Optional, Sequence
 
 from .baselines import greedy_by_bid, greedy_by_density
 from .conflict import conflict_free_set, get_conflict_groups
-from .default_algo import block_building, default_pass
+from .default_algo import block_building, resolve_group_with_counterfactuals
 from .model import (
     Block,
     BuilderSpec,
@@ -325,14 +325,13 @@ def run_mechanism(
     # Default run under a fresh one-time label; refunds are fixed here and
     # never revisited.
     label0 = one_time_label(scenario.seed)
-    resolved = default_pass(
-        [g for g in groups if len(g) > 1],
-        core,
-        scenario.k_cutoff,
-        scenario.seed,
-        label0,
-        bids,
-    )
+    resolved = [
+        resolve_group_with_counterfactuals(
+            g, core, scenario.k_cutoff, scenario.seed, label0, bids
+        )
+        for g in groups
+        if len(g) > 1
+    ]
     o_star = tuple(i for res, _ in resolved for i in res.sub_block)
     beta0 = block_total_bid(o_star, core, label0, bids)
     group_refunds = {

@@ -22,6 +22,9 @@ BALANCE_SLOT = "__balance__"
 # A block is an ordered sequence of distinct bundle ids.
 Block = tuple
 
+# Conflict groups at least this large skip exhaustive enumeration.
+DEFAULT_K_CUTOFF = 8
+
 
 class ModelError(ValueError):
     """Malformed domain object or misuse of a model operation."""
@@ -201,7 +204,7 @@ class BuilderSpec:
 class Scenario:
     bundles: tuple
     builders: tuple = ()
-    k_cutoff: int = 8
+    k_cutoff: int = DEFAULT_K_CUTOFF
     seed: int = 0
 
     def __post_init__(self):

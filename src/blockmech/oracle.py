@@ -21,10 +21,9 @@ refuses instances past the size cap rather than approximating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterator, Mapping, Optional
 
-from .default_algo import _GroupEvaluator, _walk
+from .default_algo import _GroupEvaluator, _ordered_subsets, _walk
 from .model import Block, CoinbaseLabel, as_bundle_map, block_bids
 
 DEFAULT_OMEGA_LIMIT = 8
@@ -56,8 +55,7 @@ def full_omega(bundles, limit: int = DEFAULT_OMEGA_LIMIT) -> Iterator[Block]:
     order (sizes ascending, ids ascending, permutations lexicographic)."""
     ids = sorted(as_bundle_map(bundles))
     _check_size(len(ids), limit)
-    for size in range(len(ids) + 1):
-        yield from permutations(ids, size)
+    yield from _ordered_subsets(ids)
 
 
 def vcg_outcome(

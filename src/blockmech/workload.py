@@ -22,6 +22,7 @@ from typing import Mapping
 
 from .conflict import get_conflict_groups
 from .model import (
+    DEFAULT_K_CUTOFF,
     Bundle,
     BuilderSpec,
     ConstantBid,
@@ -116,10 +117,16 @@ def load_profile(name_or_path: str) -> Profile:
         raise ScenarioParseError(
             "bid_model", f"expected one of {', '.join(BID_MODELS)}, got {bid_model!r}"
         )
-    rates = {
-        key: _number(record.get(key, 0.0), key)
-        for key in ("shared_pivot_rate", "same_target_rate")
-    }
+    rates = {}
+    for key in ("shared_pivot_rate", "same_target_rate"):
+        rates[key] = rate = _number(record.get(key, 0.0), key)
+        if not 0.0 <= rate <= 1.0:
+            raise ScenarioParseError(key, f"must be in [0, 1], got {rate}")
+    total = rates["shared_pivot_rate"] + rates["same_target_rate"]
+    if total > 1.0:
+        raise ScenarioParseError(
+            "$", f"shared_pivot_rate + same_target_rate must be <= 1, got {total}"
+        )
     value_range = _list(record.get("value_range", [1, 100]), "value_range")
     if len(value_range) != 2:
         raise ScenarioParseError("value_range", "expected [low, high]")
@@ -155,7 +162,10 @@ def _plan_group_sizes(profile: Profile, rng: random.Random) -> list:
     plan = []
     remaining = profile.n_bundles
     while remaining > 0:
-        feasible = [(s, w) for s, w in zip(sizes, weights) if s <= remaining]
+        # A zero-weight size is never drawn, so it counts as infeasible.
+        feasible = [
+            (s, w) for s, w in zip(sizes, weights) if s <= remaining and w > 0
+        ]
         if not feasible:
             plan.append(remaining)
             break
@@ -188,7 +198,9 @@ def _table_bid(member_ids, own: int, profile: Profile, rng: random.Random):
     return TableBid(entries, base)
 
 
-def generate_scenario(profile: Profile, seed: int, k_cutoff: int = 8) -> Scenario:
+def generate_scenario(
+    profile: Profile, seed: int, k_cutoff: int = DEFAULT_K_CUTOFF
+) -> Scenario:
     """Pure function of (profile, seed): the same pair always yields a
     structurally identical scenario."""
     rng = random.Random(seed)

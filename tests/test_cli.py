@@ -248,6 +248,25 @@ def test_compare_gen_refuses_k_cutoff(capsys):
     assert "--k-cutoff" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--profile", "realistic", "--k-cutoff", "0"],
+        ["gen", "--profile", "realistic", "--k-cutoff", "-3"],
+        ["build", EXAMPLE2, "--k-cutoff", "0"],
+    ],
+    ids=["gen-0", "gen-negative", "build-0"],
+)
+def test_nonpositive_k_cutoff_is_a_usage_error(capsys, tmp_path, argv):
+    out_path = tmp_path / "s.json"
+    if argv[0] == "gen":
+        argv = argv + ["--out", str(out_path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: k_cutoff must be >= 1") and out == ""
+    assert not out_path.exists()
+
+
 def test_fixture_files_are_canonical():
     assert len(FIXTURES) == 6
     for path in FIXTURES:
@@ -563,6 +582,22 @@ def test_compare_reruns_are_byte_identical(capsys, tmp_path, argv):
             "shared_pivot_rate",
         ),
         (
+            '{"n_bundles": 4, "group_sizes": {"2": 1}, "shared_pivot_rate": -1}',
+            "gen",
+            "shared_pivot_rate: must be in [0, 1]",
+        ),
+        (
+            '{"n_bundles": 4, "group_sizes": {"2": 1}, "same_target_rate": 1.5}',
+            "compare",
+            "same_target_rate: must be in [0, 1]",
+        ),
+        (
+            '{"n_bundles": 4, "group_sizes": {"2": 1}, '
+            '"shared_pivot_rate": 0.6, "same_target_rate": 0.5}',
+            "gen",
+            "$: shared_pivot_rate + same_target_rate must be <= 1",
+        ),
+        (
             '{"n_bundles": 4, "group_sizes": {"2": 1}, "builders": ["copy-default", 3]}',
             "gen",
             "builders[1]",
@@ -581,7 +616,8 @@ def test_compare_reruns_are_byte_identical(capsys, tmp_path, argv):
     ids=[
         "missing-group_sizes", "compare-missing-group_sizes", "invalid-json",
         "string-n_bundles", "top-level-list", "unknown-bid_model", "string-size",
-        "zero-size", "string-weight", "null-rate", "int-builder", "float-range",
+        "zero-size", "string-weight", "null-rate", "negative-rate",
+        "compare-rate-above-1", "rates-sum-above-1", "int-builder", "float-range",
         "inverted-range",
     ],
 )
@@ -599,6 +635,19 @@ def test_malformed_profile_is_a_located_usage_error(
     assert err.startswith("error: " + location.format(path=profile))
     assert "Traceback" not in err and out == ""
     assert not (tmp_path / "s.json").exists()
+
+
+def test_profile_with_only_zero_weight_sizes_left_generates(capsys, tmp_path):
+    # After a group of 5, only size 1 fits the remaining 2 bundles, and its
+    # weight is 0: the remainder becomes one group.
+    profile = tmp_path / "p.json"
+    profile.write_text('{"n_bundles": 7, "group_sizes": {"1": 0, "5": 1}}')
+    path = tmp_path / "s.json"
+    code, out, err = run_cli(
+        capsys, "gen", "--profile", str(profile), "--out", str(path)
+    )
+    assert code == 0 and err == ""
+    assert out == f"wrote {path}: 7 bundles, 2 conflict groups, seed 0\n"
 
 
 def _cli_process(argv, cwd, **kwargs):

@@ -7,14 +7,12 @@ import pytest
 from blockmech.conflict import ConflictGroup, get_conflict_groups
 from blockmech.default_algo import (
     Strategy,
-    _GroupEvaluator,
+    _plan,
     block_building,
     build_with_resolutions,
     candidate_set,
     counterfactual_blocks,
-    is_feasible,
     resolve_group,
-    select_subset,
 )
 from blockmech.harness import compare_sweep, verify_budget_and_refunds
 from blockmech.model import (
@@ -82,27 +80,33 @@ def test_same_target_single_candidate_is_seeded_shuffle():
 
 
 def test_is_feasible_classification():
+    # Below the cutoff every group is enumerated; above it a feasible
+    # shortcut is taken, and truncation is the last resort.
     pivots = _pivot_bundles(10)
-    assert is_feasible(_group(pivots), pivots) is Strategy.SHARED_PIVOT
+    assert _plan(_group(pivots), pivots, 11, 0)[0] is Strategy.ENUMERATED
+    assert _plan(_group(pivots), pivots, 8, 0)[0] is Strategy.SHARED_PIVOT
     shared = key("token")
     same_target = [
         make_bundle(i, 1, writes={shared}, txs=(TxRef(f"0x{i:02x}", "0xtoken"),))
         for i in range(12)
     ]
-    assert is_feasible(_group(same_target), same_target) is Strategy.SAME_TARGET
+    assert _plan(_group(same_target), same_target, 8, 0)[0] is Strategy.SAME_TARGET
     plain = [make_bundle(i, 1, writes={shared}) for i in range(9)]
-    assert is_feasible(_group(plain), plain) is None
+    assert _plan(_group(plain), plain, 8, 0)[0] is Strategy.TRUNCATED
 
 
 def test_select_subset_is_deterministic_and_seed_sensitive():
+    # A truncated group's pool: the first k_cutoff - 1 members in the
+    # seeded order, as sorted ids.
     bundles = [make_bundle(i, 1, writes={key("k")}) for i in range(12)]
     group = _group(bundles)
-    first = select_subset(group, bundles, 7, seed=5)
-    assert len(first) == 7 and select_subset(group, bundles, 7, seed=5) == first
-    assert select_subset(group, bundles, 99, seed=5) == sorted(group.members)
-    other = select_subset(group, bundles, 7, seed=6)
+    strategy, first, shortlist = _plan(group, bundles, 8, seed=5)
+    assert strategy is Strategy.TRUNCATED and shortlist is None
+    assert len(first) == 7 and _plan(group, bundles, 8, seed=5)[1] == first
+    assert _plan(group, bundles, 99, seed=5)[1] == sorted(group.members)
+    other = _plan(group, bundles, 8, seed=6)[1]
     assert len(other) == 7  # may differ from `first`, must be internally stable
-    assert select_subset(group, bundles, 7, seed=6) == other
+    assert _plan(group, bundles, 8, seed=6)[1] == other
 
 
 def test_resolve_group_table1(example2):
@@ -134,7 +138,8 @@ def test_resolve_group_constant_bids_first_full_permutation():
 
 def test_block_building_example2(example2):
     bundles = example2.bundle_map()
-    assert block_building(bundles, 8, example2.seed) == (2, 1)
+    label = one_time_label(example2.seed)
+    assert block_building(bundles, 8, example2.seed, label) == (2, 1)
 
 
 def test_block_building_merges_nonconflicting_groups():
@@ -193,21 +198,6 @@ def test_counterfactuals_equal_full_rerun(seed):
     assert fast == naive
 
 
-@pytest.mark.parametrize("seed", [1, 8])
-def test_group_evaluator_agrees_with_generic_route(seed):
-    scenario = generate_scenario(PROFILES["realistic"], seed)
-    bundles = scenario.bundle_map()
-    label = one_time_label(scenario.seed)
-    for group in get_conflict_groups(bundles):
-        members = {i: bundles[i] for i in group.members}
-        evaluator = _GroupEvaluator(members, label)
-        for block in candidate_set(group, members, 4, scenario.seed):
-            total, contribs = evaluator.values(block)
-            reference = block_bids(block, members, label)
-            assert total == sum(reference.values())
-            assert contribs == [reference[i] for i in block]
-
-
 @pytest.mark.parametrize("seed", [0, 4, 9])
 def test_resolve_group_is_exact_maximizer_by_independent_reenumeration(seed):
     scenario = generate_scenario(PROFILES["realistic"], seed)
@@ -250,7 +240,7 @@ def test_resolution_strategies_recorded():
     scenario = generate_scenario(PROFILES["stress-large-groups"], 2)
     bundles = scenario.bundle_map()
     _, resolutions = build_with_resolutions(
-        bundles, scenario.k_cutoff, scenario.seed
+        bundles, scenario.k_cutoff, scenario.seed, one_time_label(scenario.seed)
     )
     strategies = {res.strategy for res in resolutions}
     assert Strategy.ENUMERATED in strategies  # singletons at least

@@ -5,8 +5,9 @@
 - the indexed `model.block_bids` against a scan of every placed bundle;
 - the incremental greedies against the quadratic greedy kept below;
 - builders reusing the default block against ones that rebuild it;
-- the prefix-tree walk of `default_algo` against the per-candidate scan,
-  and the oracle built on it against a `full_omega` + `block_bids` loop;
+- the prefix-tree walk of `default_algo` against a per-candidate
+  `block_bids` scan, and the oracle built on it against a `full_omega` +
+  `block_bids` loop;
 - the walk's transcript against the normal forms of `candidate_set`, with
   commuting bundles derived from the declared read and write sets.
 
@@ -31,10 +32,9 @@ from blockmech.baselines import greedy_by_bid, greedy_by_density
 from blockmech.conflict import ConflictGroup, conflict_free_set, get_conflict_groups
 from blockmech.default_algo import (
     Strategy,
-    _GroupEvaluator,
+    _plan,
     block_building,
     candidate_set,
-    classify_group,
     counterfactual_blocks,
     resolve_group,
     resolve_group_with_counterfactuals,
@@ -394,21 +394,23 @@ def test_gated_override_runs_match_rebuild():
 
 def _scan_reference(group, bundles, k_cutoff, seed, coinbase, bids=None):
     """Reference resolution: every candidate of `candidate_set` scored from
-    scratch in canonical order, the first maximizer kept for the base
-    objective and for each member's objective with its bid zeroed."""
+    scratch by `block_bids`, summed left to right, in canonical order; the
+    first maximizer kept for the base objective and for each member's
+    objective with its bid zeroed."""
     group_bundles = {i: bundles[i] for i in group.members}
-    evaluator = _GroupEvaluator(group_bundles, coinbase, bids)
     members = group.sorted_members()
     best, best_value = None, 0.0
     without_block = {i: None for i in members}
     without_value = {i: 0.0 for i in members}
     for block in candidate_set(group, group_bundles, k_cutoff, seed):
-        total, contribs = evaluator.values(block)
+        values = block_bids(block, group_bundles, coinbase, bids)
+        total = 0.0
+        for value in values.values():
+            total += value
         if best is None or total > best_value:
             best, best_value = block, total
-        contrib_of = dict(zip(block, contribs))
         for i in members:
-            value = total - contrib_of.get(i, 0.0)
+            value = total - values.get(i, 0.0)
             if without_block[i] is None or value > without_value[i]:
                 without_block[i], without_value[i] = block, value
     counterfactuals = {i: (without_block[i], without_value[i]) for i in members}
@@ -563,7 +565,7 @@ def _assert_exact_optimum(group, bundles, k_cutoff, seed, coinbase, bids, res, w
 def test_walk_equals_per_candidate_scan(strategy, seed):
     bundles, k_cutoff = _strategy_group(strategy, seed)
     group = ConflictGroup(frozenset(bundles))
-    assert classify_group(group, bundles, k_cutoff) is strategy
+    assert _plan(group, bundles, k_cutoff, seed)[0] is strategy
     for label in (GATE, builder_label(1)):  # gate matches, gate does not
         for name, bids in _bid_profiles(bundles).items():
             (ref_block, ref_value), ref_without = _scan_reference(
@@ -601,6 +603,30 @@ def test_walk_equals_per_candidate_scan(strategy, seed):
                 )
 
 
+@pytest.mark.parametrize("seed", [1, 8])
+def test_walk_equals_scan_on_realistic_groups(seed):
+    # Every group of a generated scenario at cutoff 4, so that its groups
+    # of four and eight members are truncated. Table bids are integers, so
+    # each resolution and counterfactual matches the scan bit for bit.
+    scenario = generate_scenario(PROFILES["realistic"], seed)
+    bundles = scenario.bundle_map()
+    label = one_time_label(scenario.seed)
+    strategies = set()
+    for group in get_conflict_groups(bundles):
+        (ref_block, ref_value), ref_without = _scan_reference(
+            group, bundles, 4, scenario.seed, label
+        )
+        res, without = resolve_group_with_counterfactuals(
+            group, bundles, 4, scenario.seed, label
+        )
+        strategies.add(res.strategy)
+        assert _exact(res.sub_block, res.value) == _exact(ref_block, ref_value)
+        assert {i: _exact(*w) for i, w in without.items()} == {
+            i: _exact(*w) for i, w in ref_without.items()
+        }
+    assert strategies == {Strategy.ENUMERATED, Strategy.TRUNCATED}
+
+
 def _walked_groups() -> list:
     """(id, bundles, group, k_cutoff, seed, strategy): order-sensitive
     enumerated and truncated groups, and the groups of a generated scenario."""
@@ -631,7 +657,7 @@ def _walked_groups() -> list:
 def test_walk_transcript_is_the_commuting_normal_forms(
     bundles, group, k_cutoff, seed, strategy
 ):
-    assert classify_group(group, bundles, k_cutoff) is strategy
+    assert _plan(group, bundles, k_cutoff, seed)[0] is strategy
     for label in (GATE, builder_label(1)):  # gate matches, gate does not
         transcript = []
         resolve_group(group, bundles, k_cutoff, seed, label, None, transcript)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from blockmech.conflict import conflict_free_set, get_conflict_groups
-from blockmech.default_algo import default_pass
+from blockmech.default_algo import resolve_group_with_counterfactuals
 from blockmech.model import CoinbaseLabel, block_bids, exclusive_bid, one_time_label
 from blockmech.oracle import OracleSizeError, full_omega, vcg_outcome
 from blockmech.workload import PROFILES, generate_scenario
@@ -127,9 +127,12 @@ def test_default_refunds_equal_vcg_refunds_beyond_eight_bundles():
         if max(len(g) for g in core_groups) >= scenario.k_cutoff:
             continue
         label = one_time_label(scenario.seed)
-        resolved = default_pass(
-            core_groups, core, scenario.k_cutoff, scenario.seed, label
-        )
+        resolved = [
+            resolve_group_with_counterfactuals(
+                g, core, scenario.k_cutoff, scenario.seed, label
+            )
+            for g in core_groups
+        ]
         refunds = {
             i: res.value - others
             for res, counterfactuals in resolved

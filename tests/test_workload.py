@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from blockmech.conflict import get_conflict_groups
-from blockmech.default_algo import Strategy, is_feasible
+from blockmech.default_algo import Strategy, _plan
 from blockmech.scenario_io import dumps_scenario
 from blockmech.workload import (
     GenerationError,
@@ -54,7 +54,8 @@ def test_shared_pivot_stamp_classifies():
     scenario = generate_scenario(profile, 4)
     groups = get_conflict_groups(scenario.bundles)
     assert len(groups) == 1
-    assert is_feasible(groups[0], scenario.bundle_map()) is Strategy.SHARED_PIVOT
+    plan = _plan(groups[0], scenario.bundle_map(), scenario.k_cutoff, scenario.seed)
+    assert plan[0] is Strategy.SHARED_PIVOT
 
 
 def test_same_target_stamp_classifies():
@@ -68,7 +69,8 @@ def test_same_target_stamp_classifies():
     )
     scenario = generate_scenario(profile, 4)
     groups = get_conflict_groups(scenario.bundles)
-    assert is_feasible(groups[0], scenario.bundle_map()) is Strategy.SAME_TARGET
+    plan = _plan(groups[0], scenario.bundle_map(), scenario.k_cutoff, scenario.seed)
+    assert plan[0] is Strategy.SAME_TARGET
 
 
 def test_planned_partition_matches_realized():
@@ -76,6 +78,15 @@ def test_planned_partition_matches_realized():
     for name in PROFILES:
         for seed in (0, 1, 2):
             generate_scenario(PROFILES[name], seed)
+
+
+def test_zero_weight_sizes_are_never_drawn():
+    # Once 2 bundles remain, the only size that fits has weight 0: the
+    # remainder becomes one group, as when no size fits.
+    profile = Profile(name="zero-weight", n_bundles=7, group_sizes={1: 0.0, 5: 1.0})
+    for seed in range(5):
+        groups = get_conflict_groups(generate_scenario(profile, seed).bundles)
+        assert sorted(len(g) for g in groups) == [2, 5]
 
 
 def test_infeasible_profile_rejected():
