@@ -68,6 +68,14 @@ def _load_with_overrides(args):
     return replace(_resolve_scenario(args.scenario), **overrides)
 
 
+def _require_positive(args, *fields) -> None:
+    """Counts (`--n`) and pool sizes (`--threads`) below 1 mean nothing."""
+    for field in fields:
+        value = getattr(args, field)
+        if value < 1:
+            raise UsageError(f"--{field} must be >= 1, got {value}")
+
+
 def _emit(args, kind: str, body: dict, default_out: str = None) -> None:
     payload = report_payload(kind, body)
     text = dumps_report(payload) if args.format == "json" else render(payload) + "\n"
@@ -181,10 +189,12 @@ def _cmd_groups(args) -> int:
     scenario = _load_with_overrides(args)
     groups = get_conflict_groups(scenario.bundle_map())
     histogram = Counter(len(g) for g in groups)
+    cutoff = scenario.k_cutoff
     body = {
         "group_count": len(groups),
         "size_histogram": {str(k): v for k, v in sorted(histogram.items())},
-        "groups_at_least_8": sum(1 for g in groups if len(g) >= 8),
+        "k_cutoff": cutoff,
+        "groups_at_least_k_cutoff": sum(1 for g in groups if len(g) >= cutoff),
         "groups": [g.sorted_members() for g in groups],
     }
     _emit(args, "groups", body)
@@ -192,6 +202,7 @@ def _cmd_groups(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    _require_positive(args, "n", "threads")
     if args.gen:
         if args.k_cutoff is not None:
             raise UsageError("--k-cutoff applies to a scenario file, not to --gen")
@@ -214,6 +225,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _require_positive(args, "n", "threads")
     runners = {
         "dsic-searcher": verify_searcher_dsic,
         "dsic-builder": verify_builder_dsic,
@@ -252,6 +264,7 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_game(args) -> int:
+    _require_positive(args, "n")
     if args.scenario:
         report = adoption_game(_resolve_scenario(args.scenario))
         body = asdict(report)

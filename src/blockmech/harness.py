@@ -40,6 +40,18 @@ _BUILDER_ROTATION = (
     ("copy-default", "greedy-density", "half-default"),
 )
 
+# Line-ups of the builder-truthfulness and integration sweeps.
+_BUILDER_DSIC_LINEUPS = (
+    ("copy-default", "greedy-bid"),
+    ("greedy-bid", "greedy-density", "empty"),
+    ("copy-default",),
+)
+_INTEGRATION_LINEUPS = (
+    ("greedy-bid", "empty"),
+    ("copy-default", "greedy-density"),
+    ("copy-default", "greedy-bid", "empty"),
+)
+
 # Stubs that can never outbid the default block (empty block at zero, or the
 # default block at half value), for default-dominating scenarios.
 _DOMINATED_STUBS = ("empty", "half-default")
@@ -135,15 +147,11 @@ def verify_searcher_dsic(n: int, seed: int, threads: int = 1) -> HarnessResult:
 def verify_builder_dsic(n: int, seed: int, threads: int = 1) -> HarnessResult:
     """Builder truthfulness: bid offsets around the truthful block value
     never strictly improve a builder's utility."""
-    lineups = (
-        ("copy-default", "greedy-bid"),
-        ("greedy-bid", "greedy-density", "empty"),
-        ("copy-default",),
-    )
 
     def check(i: int) -> list:
         scenario = generate_scenario(_SWEEP_PROFILE, _subseed(seed, i))
-        scenario = with_builders(scenario, lineups[i % len(lineups)])
+        lineup = _BUILDER_DSIC_LINEUPS[i % len(_BUILDER_DSIC_LINEUPS)]
+        scenario = with_builders(scenario, lineup)
         rng = random.Random(_subseed(seed, i) ^ 0xB1D)
         subject = rng.randrange(len(scenario.builders))
         report = builder_deviation_sweep(scenario, subject)
@@ -165,11 +173,6 @@ def verify_integration(n: int, seed: int, threads: int = 1) -> HarnessResult:
     Scenarios without a conflict-free bundle are skipped, so the draw of
     scenarios, subjects and builders is sequential; only the games run on
     the pool."""
-    lineups = (
-        ("greedy-bid", "empty"),
-        ("copy-default", "greedy-density"),
-        ("copy-default", "greedy-bid", "empty"),
-    )
     games = []  # (attempt index, scenario, subject, builder)
     attempt = 0
     while len(games) < n and attempt < 10 * n:
@@ -178,7 +181,8 @@ def verify_integration(n: int, seed: int, threads: int = 1) -> HarnessResult:
         free = sorted(conflict_free_set(get_conflict_groups(scenario.bundles)))
         if not free:
             continue
-        scenario = with_builders(scenario, lineups[len(games) % len(lineups)])
+        lineup = _INTEGRATION_LINEUPS[len(games) % len(_INTEGRATION_LINEUPS)]
+        scenario = with_builders(scenario, lineup)
         rng = random.Random(_subseed(seed, attempt) ^ 0x1A7E)
         subject = free[rng.randrange(len(free))]
         builder = rng.randrange(len(scenario.builders))

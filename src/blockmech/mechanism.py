@@ -1,20 +1,23 @@
-"""The full block-building mechanism.
+"""The full block-building mechanism, in three phases.
 
-Conflict-free bundles are set aside first and appended to whatever block
-wins; they are always refunded their own bid, so their net payment is zero.
-The default algorithm makes one pass over the remaining core under a
-one-time coinbase label: each conflict group's enumeration yields its
-sub-block of the default block and, per member, its best sub-block with
+`prepare` sets conflict-free bundles aside: they are appended to whatever
+block wins and always refunded their own bid, so their net payment is zero.
+It then makes the default algorithm's one pass over the remaining core
+under a one-time coinbase label: each conflict group's enumeration yields
+its sub-block of the default block and, per member, its best sub-block with
 that member's bid zeroed. That pass fixes every searcher refund, group by
-group. Builder algorithms then compete on the same core; the best builder
+group. `compete` runs the builder algorithms on the same core, one after
+another in the calling thread. `settle` runs the auction: the best builder
 bid faces a second-price rule with the default block's value as the
 reserve. Searcher refunds are identical no matter which side wins.
+`run_mechanism` is the composition of the three; a deviation that moves
+only a builder's bid, or a conflict-free bundle's bid or gate, changes
+neither of the first two phases, so deviation sweeps reuse them.
 
 Settlement has one ledger path. The auction picks the core block, the
 coinbase label and the reserve (β0 when the default wins, max(β0, β′) when
 a builder does); the final block, the charges, both ledgers and the
 proposer's revenue (reserve minus the refunds) follow from those three.
-Builders run one after another in the calling thread.
 
 An alternative refund rule driven by builder-reported counterfactual bids is
 also provided. It is deliberately vulnerable to builder-searcher collusion
@@ -296,28 +299,28 @@ def _label_invariant(core: dict, bids: Optional[Mapping]) -> bool:
     return True
 
 
-def run_mechanism(
-    scenario: Scenario,
-    bids: Optional[Mapping] = None,
-    builders: Optional[Sequence[BuilderAlgorithm]] = None,
-) -> MechanismOutcome:
-    """Execute the full mechanism on a scenario.
+@dataclass(frozen=True)
+class Prepared:
+    """What the default pass fixes before any builder runs. No builder's
+    bid or block, nor any conflict-free bundle's bid or gate, can change
+    it: the default pass and every builder see only the core."""
 
-    One default pass over the core's conflict groups gives the default
-    block and every refund. Groups are separable, so bundle i's refund is
-    its group's best value minus what the other members collect in the
-    group's best sub-block with i's bid zeroed: the other groups would add
-    the same amount to both terms. When the run is label-invariant,
-    builders get the default block through `BuilderEnv.default_block`.
+    scenario: Scenario
+    conflict_free: frozenset
+    core: dict  # bundle id -> Bundle: what the builders compete over
+    default_block: Block
+    beta0: float
+    refunds: dict  # core bundle id -> refund, in id order
+    reuse: Optional[Block]  # handed to builders when label-invariant
 
-    `bids` optionally overrides bundle bid functions by id (deviation
-    sweeps); `builders` optionally replaces the scenario's registry-named
-    builder list with prebuilt algorithm objects.
-    """
+
+def prepare(scenario: Scenario, bids: Optional[Mapping] = None) -> Prepared:
+    """The default pass: one pass over the core's conflict groups gives the
+    default block and every refund. Groups are separable, so bundle i's
+    refund is its group's best value minus what the other members collect
+    in the group's best sub-block with i's bid zeroed: the other groups
+    would add the same amount to both terms."""
     by_id = scenario.bundle_map()
-    if builders is None:
-        builders = instantiate_builders(scenario.builders)
-
     groups = get_conflict_groups(by_id)
     free = conflict_free_set(groups)
     core = {i: b for i, b in by_id.items() if i not in free}
@@ -333,28 +336,43 @@ def run_mechanism(
         if len(g) > 1
     ]
     o_star = tuple(i for res, _ in resolved for i in res.sub_block)
-    beta0 = block_total_bid(o_star, core, label0, bids)
     group_refunds = {
         i: res.value - others
         for res, counterfactuals in resolved
         for i, (_, others) in counterfactuals.items()
     }
-    refunds = {i: group_refunds[i] for i in core}  # id order: summed below
-    reuse = o_star if _label_invariant(core, bids) else None
+    return Prepared(
+        scenario=scenario,
+        conflict_free=free,
+        core=core,
+        default_block=o_star,
+        beta0=block_total_bid(o_star, core, label0, bids),
+        refunds={i: group_refunds[i] for i in core},
+        reuse=o_star if _label_invariant(core, bids) else None,
+    )
 
-    # Builder competition on the same core, each under its own fixed label.
-    entries = {}  # builder index -> (block, bid, disqualified)
+
+def compete(prepared: Prepared, builders, bids: Optional[Mapping] = None) -> dict:
+    """Builder competition on the core, each builder under its own fixed
+    label; `builders` None means the scenario's registry-named line-up. Returns
+    {index: (block, bid, disqualified)}: a builder that raises, returns an
+    invalid block, or bids anything but a finite non-negative number is
+    disqualified with an empty block and a zero bid."""
+    scenario = prepared.scenario
+    if builders is None:
+        builders = instantiate_builders(scenario.builders)
+    entries = {}
     for index, algo in enumerate(builders):
         env = BuilderEnv(
-            builder_label(index), scenario.k_cutoff, scenario.seed, reuse
+            builder_label(index), scenario.k_cutoff, scenario.seed, prepared.reuse
         )
         try:
-            block, beta = algo.produce(core, bids, env)
+            block, beta = algo.produce(prepared.core, bids, env)
         except Exception:
             block, beta = (), None  # disqualified below
         block = tuple(block)
         if (
-            validate_builder_block(block, core) is not None
+            validate_builder_block(block, prepared.core) is not None
             or not isinstance(beta, (int, float))
             or not math.isfinite(beta)
             or beta < 0
@@ -362,7 +380,16 @@ def run_mechanism(
             entries[index] = ((), 0.0, True)
         else:
             entries[index] = (block, float(beta), False)
+    return entries
 
+
+def settle(
+    prepared: Prepared, entries: Mapping, bids: Optional[Mapping] = None
+) -> MechanismOutcome:
+    """The auction over `compete`'s entries, then the one ledger path.
+    `bids` must agree with `prepare`'s on every core bundle."""
+    by_id = prepared.scenario.bundle_map()
+    free, o_star, beta0 = prepared.conflict_free, prepared.default_block, prepared.beta0
     beta_star, top = 0.0, None
     for index, (_, beta, dq) in entries.items():
         if not dq and (top is None or beta > beta_star):
@@ -379,7 +406,8 @@ def run_mechanism(
     # reserve). Appending the tail cannot change any core bundle's context,
     # and core refunds are the default run's, whoever wins.
     if top is None or beta0 >= beta_star:
-        winner, core_block, label, reserve = None, o_star, label0, beta0
+        label = one_time_label(prepared.scenario.seed)
+        winner, core_block, reserve = None, o_star, beta0
     else:
         winner, label = top, builder_label(top)
         core_block, reserve = entries[top][0], max(beta0, beta_prime)
@@ -389,7 +417,7 @@ def run_mechanism(
     searcher_ledger = {
         i: LedgerEntry(
             charge=charges.get(i, 0.0),
-            refund=charges.get(i, 0.0) if i in free else refunds[i],
+            refund=charges.get(i, 0.0) if i in free else prepared.refunds[i],
         )
         for i in by_id
     }
@@ -414,8 +442,21 @@ def run_mechanism(
         conflict_free=free,
         searcher_ledger=searcher_ledger,
         builder_ledger=builder_ledger,
-        proposer_revenue=reserve - sum(refunds.values()),
+        proposer_revenue=reserve - sum(prepared.refunds.values()),
     )
+
+
+def run_mechanism(
+    scenario: Scenario,
+    bids: Optional[Mapping] = None,
+    builders: Optional[Sequence[BuilderAlgorithm]] = None,
+) -> MechanismOutcome:
+    """Execute the full mechanism on a scenario: `prepare`, `compete`, `settle`.
+
+    `bids` optionally overrides bundle bid functions by id (deviation sweeps);
+    `builders` optionally replaces the scenario's registry-named line-up."""
+    prepared = prepare(scenario, bids)
+    return settle(prepared, compete(prepared, builders, bids), bids)
 
 
 def searcher_utility(

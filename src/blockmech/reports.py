@@ -135,7 +135,8 @@ def _groups(p) -> list:
     return [
         render_table(["group size", "count"], _by_id(p["size_histogram"])),
         f"groups: {p['group_count']}",
-        f"groups with size >= 8: {p['groups_at_least_8']}",
+        f"k_cutoff: {p['k_cutoff']}",
+        f"groups with size >= k_cutoff: {p['groups_at_least_k_cutoff']}",
     ]
 
 

@@ -14,20 +14,19 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .conflict import conflict_free_set, conflicts, get_conflict_groups
+from .conflict import conflicts, get_conflict_groups
 from .fixtures import collusion_scenario, deficit_scenario, sybil_fixture
 from .mechanism import (
-    BuilderAlgorithm,
-    BuilderEnv,
     alternative_refund,
     builder_label,
     builder_utility,
-    instantiate_builders,
+    compete,
+    prepare,
     run_mechanism,
     searcher_utility,
+    settle,
 )
 from .model import (
-    Block,
     ExecutionContext,
     Scenario,
     TableBid,
@@ -115,43 +114,26 @@ def searcher_deviation_sweep(scenario: Scenario, i: int) -> DeviationReport:
     return _verdict(f"searcher:{i}", truthful, deviations)
 
 
-class _OffsetBidBuilder(BuilderAlgorithm):
-    """Same block as the wrapped builder, bid shifted by a fixed offset
-    (clamped at zero)."""
-
-    def __init__(self, inner: BuilderAlgorithm, offset: float):
-        self.inner = inner
-        self.offset = offset
-        self.name = f"{inner.name}{offset:+g}"
-
-    def produce(self, bundles, bids, env):
-        block, beta = self.inner.produce(bundles, bids, env)
-        return block, max(0.0, beta + self.offset)
-
-
-def _lineup(scenario: Scenario, j: int):
-    """offset -> the scenario's builder line-up with builder j's bid shifted
-    by that offset (the line-up itself at offset 0)."""
-    builders = instantiate_builders(scenario.builders)
-    if not 0 <= j < len(builders):
+def _shifted(entries: dict, j: int, offset: float) -> dict:
+    """`compete` entries with builder j's bid shifted by `offset` (clamped at
+    zero) and its block kept; a disqualified entry stays as it is."""
+    if j not in entries:
         raise ValueError(f"no builder at index {j}")
-
-    def shifted(offset: float) -> list:
-        lineup = list(builders)
-        if offset != 0.0:
-            lineup[j] = _OffsetBidBuilder(builders[j], offset)
-        return lineup
-
-    return shifted
+    block, bid, dq = entries[j]
+    if dq or offset == 0.0:
+        return entries
+    return {**entries, j: (block, max(0.0, bid + offset), dq)}
 
 
 def builder_deviation_sweep(scenario: Scenario, j: int) -> DeviationReport:
     """Second-price sanity sweep: shift builder j's bid around its truthful
-    value, keeping its block fixed."""
-    lineup = _lineup(scenario, j)
+    value, keeping its block fixed. A bid moves neither the default pass
+    nor any block, so every offset settles the same prepare and compete."""
+    prepared = prepare(scenario)
+    entries = compete(prepared, None)
 
     def utility(offset: float) -> float:
-        return builder_utility(j, run_mechanism(scenario, builders=lineup(offset)))
+        return builder_utility(j, settle(prepared, _shifted(entries, j, offset)))
 
     truthful = utility(0.0)
     deviations = {
@@ -183,29 +165,27 @@ def integration_game(scenario: Scenario, i: int, j: int) -> IntegrationReport:
     (participate, truthful bid, truthful builder bid); dominance is judged
     on the pair's joint utility.
     """
-    groups = get_conflict_groups(scenario.bundles)
-    free = conflict_free_set(groups)
-    if i not in free:
+    participate = prepare(scenario)
+    if i not in participate.conflict_free:
         raise ValueError(f"bundle {i} is not conflict-free; the claim only covers S")
     bundles = scenario.bundle_map()
     truth = bundles[i].valuation
-    lineup = _lineup(scenario, j)
     gated = replace(bundles[i], gate=builder_label(j))
-    modes = {
-        "participate": scenario,
-        "integrate": replace(
-            scenario,
-            bundles=tuple(gated if b.id == i else b for b in scenario.bundles),
-        ),
-    }
+    integrate = replace(
+        scenario, bundles=tuple(gated if b.id == i else b for b in scenario.bundles)
+    )
 
+    # The subject is conflict-free, so neither its bid nor its gate reaches
+    # the default pass or a builder: one prepare and compete per mode.
     table = {}
-    for mode, sc in modes.items():
+    modes = (("participate", participate), ("integrate", prepare(integrate)))
+    for mode, prepared in modes:
+        entries = compete(prepared, None)
         for bid_label, bid_fn in [("truthful", truth)] + standard_bid_transforms(truth):
             for offset in INTEGRATION_OFFSET_GRID:
-                outcome = run_mechanism(sc, bids={i: bid_fn}, builders=lineup(offset))
+                outcome = settle(prepared, _shifted(entries, j, offset), {i: bid_fn})
                 table[f"{mode}|bid={bid_label}|builder={offset:+g}"] = searcher_utility(
-                    i, outcome, sc.bundle_map(), valuation=truth
+                    i, outcome, prepared.scenario.bundle_map(), valuation=truth
                 ) + builder_utility(j, outcome)
     desired = table["participate|bid=truthful|builder=+0"]
     best_label = max(table, key=table.get)
@@ -220,19 +200,6 @@ def integration_game(scenario: Scenario, i: int, j: int) -> IntegrationReport:
         witness=None if dominant else best_label,
         table=table,
     )
-
-
-class _ColludingBuilder(BuilderAlgorithm):
-    """Copies a precomputed default block and overbids it by epsilon."""
-
-    name = "colluder"
-
-    def __init__(self, block: Block, bid: float):
-        self.block = block
-        self.bid = bid
-
-    def produce(self, bundles, bids, env):
-        return self.block, self.bid
 
 
 @dataclass(frozen=True)
@@ -261,7 +228,9 @@ def collusion_demo(scenario: Optional[Scenario] = None) -> CollusionReport:
     if scenario is None:
         scenario = collusion_scenario()
     bundles = scenario.bundle_map()
-    honest = run_mechanism(scenario)
+    prepared = prepare(scenario)
+    entries = compete(prepared, None)
+    honest = settle(prepared, entries)
     if honest.winning_builder is not None or honest.beta_star >= honest.beta0:
         raise ValueError(
             "collusion demo needs a scenario where the default strictly "
@@ -273,15 +242,16 @@ def collusion_demo(scenario: Optional[Scenario] = None) -> CollusionReport:
     honest_refund = honest.searcher_ledger[subject].refund
     honest_utility = searcher_utility(subject, honest, bundles)
 
-    base_builders = instantiate_builders(scenario.builders)
+    colluder = len(entries)  # index of a builder appended to the line-up
     rows = []
     eq1_ok = True
     exploit_ok = True
     for eps in COLLUSION_EPSILONS:
         bid = float(Fraction(beta0) + eps)
-        lineup = base_builders + [_ColludingBuilder(honest.default_block, bid)]
-        rigged = run_mechanism(scenario, builders=lineup)
-        exploit_ok &= rigged.winning_builder == len(base_builders)
+        rigged = settle(
+            prepared, {**entries, colluder: (honest.default_block, bid, False)}
+        )
+        exploit_ok &= rigged.winning_builder == colluder
         # Deployed rule: phase-1 refunds ignore builder reports entirely.
         eq1_refund = rigged.searcher_ledger[subject].refund
         eq1_ok &= eq1_refund == honest_refund
@@ -352,38 +322,27 @@ def budget_deficit_demo(scenario: Optional[Scenario] = None) -> DeficitReport:
     """Why exact marginal refunds and second-price builder charging cannot
     coexist with budget balance.
 
-    The hypothetical mechanism charges the winning builder the second
-    highest bid while refunding each bundle its full marginal contribution
-    across all algorithms; on the fixture it collects 1 and pays 99. The
-    deployed mechanism, run on the same input, balances.
+    The hypothetical mechanism takes the builders' blocks and bids from the
+    deployed run, charges the winner the second highest bid, and refunds
+    each bundle its full marginal contribution across all algorithms; on
+    the fixture it collects 1 and pays 99. The deployed run balances.
     """
     if scenario is None:
         scenario = deficit_scenario()
     bundles = scenario.bundle_map()
-    builders = instantiate_builders(scenario.builders)
-    produced = []
-    for index, algo in enumerate(builders):
-        env = BuilderEnv(builder_label(index), scenario.k_cutoff, scenario.seed)
-        block, beta = algo.produce(bundles, None, env)
-        produced.append((index, tuple(block), float(beta)))
-
-    ranked = sorted(produced, key=lambda t: (-t[2], t[0]))
-    beta_star = ranked[0][2]
-    beta_prime = ranked[1][2] if len(ranked) > 1 else 0.0
-
+    actual = run_mechanism(scenario)
     refunds = {}
     for i in sorted(bundles):
         best_without = 0.0
-        for index, block, _ in produced:
+        for index, entry in actual.builder_ledger.items():
             value = block_total_bid(
-                block, bundles, builder_label(index), {i: ZERO_BID}
+                entry.block, bundles, builder_label(index), {i: ZERO_BID}
             )
             best_without = max(best_without, value)
-        refunds[i] = beta_star - best_without
+        refunds[i] = actual.beta_star - best_without
 
-    collected = beta_prime  # effective second-price charge on the winner
+    collected = actual.beta_prime  # effective second-price charge on the winner
     paid = sum(refunds.values())
-    actual = run_mechanism(scenario)
     return DeficitReport(
         hypothetical_refunds=refunds,
         hypothetical_collected=collected,

@@ -96,7 +96,22 @@ def test_groups_histogram(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "groups", str(scenario_path))
     assert code == 0
     assert "group size" in out
-    assert "groups with size >= 8:" in out
+    assert "groups with size >= k_cutoff:" in out
+
+
+def test_groups_count_uses_the_scenario_cutoff(capsys, tmp_path):
+    scenario_path = tmp_path / "cut4.json"
+    run_cli(
+        capsys, "gen", "--profile", "realistic", "--seed", "1", "--k-cutoff", "4",
+        "--out", str(scenario_path),
+    )
+    code, out, _ = run_cli(capsys, "groups", str(scenario_path), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["k_cutoff"] == 4
+    # the one 4-member group, which `build` resolves by truncated enumeration
+    assert payload["size_histogram"]["4"] == 1
+    assert payload["groups_at_least_k_cutoff"] == 1
 
 
 def test_gen_roundtrip(capsys, tmp_path):
@@ -265,6 +280,32 @@ def test_nonpositive_k_cutoff_is_a_usage_error(capsys, tmp_path, argv):
     assert code == 2
     assert err.startswith("error: k_cutoff must be >= 1") and out == ""
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "dsic-searcher", "--n", "-3"], "--n must be >= 1, got -3"),
+        (["verify", "integration", "--n", "0"], "--n must be >= 1, got 0"),
+        (["compare", "--gen", "realistic", "--n", "-2"], "--n must be >= 1, got -2"),
+        (["game", "adoption", "--n", "-1"], "--n must be >= 1, got -1"),
+        (["verify", "dsic-builder", "--n", "2", "--threads", "0"],
+         "--threads must be >= 1, got 0"),
+        (["compare", "--gen", "realistic", "--n", "2", "--threads", "-4"],
+         "--threads must be >= 1, got -4"),
+        (["compare", EXAMPLE2, "--threads", "0"], "--threads must be >= 1, got 0"),
+    ],
+    ids=[
+        "verify-n-negative", "verify-n-0", "compare-gen-n", "game-n",
+        "verify-threads-0", "compare-gen-threads-negative", "compare-threads-0",
+    ],
+)
+def test_counts_and_threads_below_one_are_usage_errors(capsys, tmp_path, argv, message):
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(report))
+    assert code == 2
+    assert err == f"error: {message}\n" and out == ""
+    assert not report.exists()
 
 
 def test_fixture_files_are_canonical():

@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
-from blockmech.fixtures import integration_fixture
-from blockmech.mechanism import BuilderAlgorithm
+from blockmech import harness, strategies
+from blockmech.fixtures import FIXTURE_DIR, integration_fixture, load_fixture
+from blockmech.mechanism import (
+    BuilderAlgorithm,
+    builder_label,
+    builder_utility,
+    instantiate_builders,
+    run_mechanism,
+    searcher_utility,
+)
 from blockmech.model import (
     BuilderSpec,
     CoinbaseLabel,
@@ -16,6 +27,9 @@ from blockmech.model import (
     exclusive_bid,
 )
 from blockmech.strategies import (
+    BUILDER_OFFSET_GRID,
+    COLLUSION_EPSILONS,
+    INTEGRATION_OFFSET_GRID,
     AdoptionScopeError,
     adoption_game,
     budget_deficit_demo,
@@ -24,8 +38,10 @@ from blockmech.strategies import (
     collusion_demo,
     integration_game,
     searcher_deviation_sweep,
+    standard_bid_transforms,
     sybil_demo,
 )
+from blockmech.workload import PROFILES, generate_scenario, with_builders
 
 from conftest import key, make_bundle, make_scenario
 
@@ -117,6 +133,23 @@ def test_builder_below_reserve_cannot_profit_by_overbidding():
     assert report.dominant
     # winning with an empty block means paying for nothing
     assert min(report.deviations.values()) < 0
+
+
+def test_disqualified_builder_stays_disqualified_at_every_offset():
+    # Under builder 0's label the gated bundle is worth 100 against a
+    # reserve of 2, so a valid bid of 11 (-5 shifted by +16) would win.
+    gated = make_bundle(
+        1, bid=ConstantBid(100.0), writes={key("k")}, gate=CoinbaseLabel("builder-0")
+    )
+    plain = make_bundle(2, 2, writes={key("k")})
+    scenario = make_scenario(
+        gated, plain, builders=(BuilderSpec("constant-bid", (("bid", -5.0),)),)
+    )
+    assert run_mechanism(scenario).builder_ledger[0].disqualified
+    report = builder_deviation_sweep(scenario, 0)
+    assert report.truthful_utility == 0
+    assert set(report.deviations.values()) == {0}
+    assert report.dominant
 
 
 def test_tied_builders_lowest_index_wins_at_equal_utility():
@@ -294,3 +327,168 @@ def test_adoption_refuses_mixed_scenarios(example2):
         classify_adoption(example2)
     with pytest.raises(AdoptionScopeError):
         adoption_game(example2)
+
+
+# Differential: the sweeps and demos settle one prepare and compete many
+# times; each cell must equal a literal `run_mechanism` with the deviation
+# built into the line-up, bit for bit.
+
+
+class _OffsetBidBuilder(BuilderAlgorithm):
+    """Same block as the wrapped builder, bid shifted by a fixed offset
+    (clamped at zero)."""
+
+    def __init__(self, inner: BuilderAlgorithm, offset: float):
+        self.inner = inner
+        self.offset = offset
+        self.name = f"{inner.name}{offset:+g}"
+
+    def produce(self, bundles, bids, env):
+        block, beta = self.inner.produce(bundles, bids, env)
+        return block, max(0.0, beta + self.offset)
+
+
+class _FixedBuilder(BuilderAlgorithm):
+    """A precomputed block at a fixed bid (the collusion demo's colluder)."""
+
+    name = "fixed"
+
+    def __init__(self, block, bid: float):
+        self.block = block
+        self.bid = bid
+
+    def produce(self, bundles, bids, env):
+        return self.block, self.bid
+
+
+def _shifted_lineup(scenario, j: int, offset: float) -> list:
+    lineup = instantiate_builders(scenario.builders)
+    lineup[j] = _OffsetBidBuilder(lineup[j], offset)
+    return lineup
+
+
+_HARNESS_LINEUPS = sorted(
+    set(
+        harness._BUILDER_ROTATION
+        + harness._BUILDER_DSIC_LINEUPS
+        + harness._INTEGRATION_LINEUPS
+    )
+)
+
+_DIFFERENTIAL_PROFILES = {
+    "sweep": harness._SWEEP_PROFILE,
+    "realistic": PROFILES["realistic"],
+    "full-conflict": PROFILES["full-conflict"],
+}
+
+
+def _differential_scenarios(profile_name: str) -> list:
+    """One scenario per harness line-up, on consecutive seeds; or every
+    fixture with its own line-up."""
+    if profile_name == "fixtures":
+        return [load_fixture(path.stem) for path in sorted(FIXTURE_DIR.glob("*.json"))]
+    profile = _DIFFERENTIAL_PROFILES[profile_name]
+    return [
+        with_builders(generate_scenario(profile, 7000 + n), lineup)
+        for n, lineup in enumerate(_HARNESS_LINEUPS)
+    ]
+
+
+@pytest.mark.parametrize("profile_name", sorted(_DIFFERENTIAL_PROFILES) + ["fixtures"])
+def test_builder_sweep_equals_literal_runs(profile_name):
+    checked = 0
+    for scenario in _differential_scenarios(profile_name):
+        for j in range(len(scenario.builders)):
+            report = builder_deviation_sweep(scenario, j)
+
+            def literal(offset):
+                lineup = _shifted_lineup(scenario, j, offset)
+                return builder_utility(j, run_mechanism(scenario, builders=lineup))
+
+            assert report.truthful_utility == literal(0.0)
+            assert report.deviations == {
+                f"offset:{o:+g}": literal(o) for o in BUILDER_OFFSET_GRID if o != 0.0
+            }
+            checked += 1
+    assert checked >= 3
+
+
+# full-conflict scenarios have no conflict-free bundle to integrate
+@pytest.mark.parametrize("profile_name", ["fixtures", "realistic", "sweep"])
+def test_integration_game_equals_literal_runs(profile_name):
+    checked = 0
+    for scenario in _differential_scenarios(profile_name):
+        free = sorted(run_mechanism(scenario, builders=()).conflict_free)
+        for j in range(len(scenario.builders)):
+            for i in free[:2]:
+                report = integration_game(scenario, i, j)
+                assert list(report.table.items()) == _literal_integration_table(
+                    scenario, i, j
+                )
+                checked += 1
+    assert checked >= 1
+
+
+def _literal_integration_table(scenario, i: int, j: int) -> list:
+    """(cell, joint utility) for every integration cell, one literal
+    `run_mechanism` call each."""
+    bundles = scenario.bundle_map()
+    truth = bundles[i].valuation
+    gated = replace(bundles[i], gate=builder_label(j))
+    integrate = replace(
+        scenario, bundles=tuple(gated if b.id == i else b for b in scenario.bundles)
+    )
+    cells = []
+    for mode, sc in (("participate", scenario), ("integrate", integrate)):
+        for bid_label, bid_fn in [("truthful", truth)] + standard_bid_transforms(truth):
+            for offset in INTEGRATION_OFFSET_GRID:
+                lineup = _shifted_lineup(scenario, j, offset)
+                outcome = run_mechanism(sc, bids={i: bid_fn}, builders=lineup)
+                utility = searcher_utility(
+                    i, outcome, sc.bundle_map(), valuation=truth
+                ) + builder_utility(j, outcome)
+                cells.append((f"{mode}|bid={bid_label}|builder={offset:+g}", utility))
+    return cells
+
+
+def _settled_collusion_outcomes(monkeypatch, scenario) -> list:
+    """Every outcome `strategies.settle` returns during `collusion_demo`."""
+    settled = []
+    settle = strategies.settle
+
+    def recording(*args, **kwargs):
+        settled.append(settle(*args, **kwargs))
+        return settled[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(strategies, "settle", recording)
+        collusion_demo(scenario)
+    return settled
+
+
+def _literal_collusion_runs(scenario) -> list:
+    honest = run_mechanism(scenario)
+    runs = [honest]
+    for eps in COLLUSION_EPSILONS:
+        colluder = _FixedBuilder(
+            honest.default_block, float(Fraction(honest.beta0) + eps)
+        )
+        lineup = instantiate_builders(scenario.builders) + [colluder]
+        runs.append(run_mechanism(scenario, builders=lineup))
+    return runs
+
+
+@pytest.mark.parametrize("profile_name", sorted(_DIFFERENTIAL_PROFILES) + ["fixtures"])
+def test_collusion_rows_equal_literal_runs(monkeypatch, profile_name):
+    checked = 0
+    for scenario in _differential_scenarios(profile_name):
+        try:
+            settled = _settled_collusion_outcomes(monkeypatch, scenario)
+        except ValueError:  # a builder matches the default: no exploit to show
+            honest = run_mechanism(scenario)
+            assert honest.winning_builder is not None or honest.beta_star >= honest.beta0
+            continue
+        # the honest run, then one rigged run per epsilon (one row each)
+        assert settled == _literal_collusion_runs(scenario)
+        checked += 1
+    assert checked >= 1
