@@ -19,7 +19,6 @@ from .mechanism import (
     alternative_refund,
     builder_utility,
     instantiate_builders,
-    refund_default,
     run_mechanism,
     searcher_utility,
 )
@@ -40,7 +39,6 @@ from .model import (
     block_bids,
     block_total_bid,
     builder_label,
-    canonical_context,
     evaluate_bid,
     exclusive_bid,
     one_time_label,

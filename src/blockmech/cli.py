@@ -68,12 +68,20 @@ def _load_with_overrides(args):
     return replace(_resolve_scenario(args.scenario), **overrides)
 
 
-def _require_positive(args, *fields) -> None:
-    """Counts (`--n`) and pool sizes (`--threads`) below 1 mean nothing."""
+def _sweep_size(args, field: str, default: int) -> int:
+    """A sweep's count (`--n`) or pool size (`--threads`), `default` when not
+    given; below 1 it means nothing."""
+    value = default if getattr(args, field) is None else getattr(args, field)
+    if value < 1:
+        raise UsageError(f"--{field} must be >= 1, got {value}")
+    return value
+
+
+def _refuse_sweep_flags(args, sweep: str, *fields) -> None:
+    """A scenario file runs no sweep, so the sweep's flags would be ignored."""
     for field in fields:
-        value = getattr(args, field)
-        if value < 1:
-            raise UsageError(f"--{field} must be >= 1, got {value}")
+        if getattr(args, field) is not None:
+            raise UsageError(f"--{field} applies to {sweep}, not to a scenario file")
 
 
 def _emit(args, kind: str, body: dict, default_out: str = None) -> None:
@@ -202,17 +210,18 @@ def _cmd_groups(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    _require_positive(args, "n", "threads")
     if args.gen:
         if args.k_cutoff is not None:
             raise UsageError("--k-cutoff applies to a scenario file, not to --gen")
+        n, threads = _sweep_size(args, "n", 100), _sweep_size(args, "threads", 1)
         profile = load_profile(args.gen)
-        result = compare_sweep(profile, args.n, args.seed or 0, args.threads)
+        result = compare_sweep(profile, n, args.seed or 0, threads)
         body = {"sweep": result.details, "scenarios": result.checked}
         _emit(args, "compare-sweep", body)
         return 0
     if not args.scenario:
         raise UsageError("compare needs a scenario path or --gen <profile> --n <count>")
+    _refuse_sweep_flags(args, "--gen", "n", "threads")
     report = compare_algorithms(_load_with_overrides(args))
     body = {
         "values": report.values,
@@ -225,13 +234,13 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _require_positive(args, "n", "threads")
+    n, threads = _sweep_size(args, "n", 100), _sweep_size(args, "threads", 1)
     runners = {
         "dsic-searcher": verify_searcher_dsic,
         "dsic-builder": verify_builder_dsic,
         "integration": verify_integration,
     }
-    result = runners[args.property](args.n, args.seed or 0, args.threads)
+    result = runners[args.property](n, args.seed or 0, threads)
     body = {
         "property": args.property,
         "scenarios": result.checked,
@@ -264,14 +273,14 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_game(args) -> int:
-    _require_positive(args, "n")
     if args.scenario:
+        _refuse_sweep_flags(args, "the adoption sweep", "n", "seed")
         report = adoption_game(_resolve_scenario(args.scenario))
         body = asdict(report)
         del body["witness_partition"]
         _emit(args, "game-adoption", body, default_out="game-adoption-report.json")
         return 0 if report.commit_weakly_optimal else 1
-    result = adoption_sweep(args.n, args.seed or 0)
+    result = adoption_sweep(_sweep_size(args, "n", 50), args.seed or 0)
     body = {
         "scenarios": result.checked,
         "failures": list(result.failures),
@@ -329,16 +338,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("compare", _cmd_compare, "default vs greedy baselines (and oracle)")
     p.add_argument("scenario", nargs="?", default=None)
     p.add_argument("--gen", default=None, help="generate workloads from a profile")
-    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--n", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--k-cutoff", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=None)
 
     p = command("verify", _cmd_verify, "randomized incentive-property sweeps")
     p.add_argument("property", choices=("dsic-searcher", "dsic-builder", "integration"))
-    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--n", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=None)
 
     p = command("demo", _cmd_demo, "known-failure demonstrations")
     p.add_argument("demo", choices=("collusion", "deficit", "sybil"))
@@ -346,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("game", _cmd_game, "proposer adoption game")
     p.add_argument("game", choices=("adoption",))
     p.add_argument("scenario", nargs="?", default=None)
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
 
     p = command("gen", _cmd_gen, "generate a scenario file from a profile", False)
     p.add_argument("--profile", required=True, help="builtin name or profile JSON")

@@ -23,14 +23,13 @@ from .model import ConstantBid, Scenario, block_total_bid, one_time_label, order
 from .mechanism import run_mechanism
 from .oracle import vcg_outcome
 from .strategies import (
+    ABS_TOLERANCE,
     adoption_game,
     builder_deviation_sweep,
     integration_game,
     searcher_deviation_sweep,
 )
 from .workload import PROFILES, Profile, generate_scenario, with_builders
-
-ABS_TOLERANCE = 1e-9
 
 # Builder line-ups used when rotating through 0-3 registered builders.
 _BUILDER_ROTATION = (
@@ -96,6 +95,16 @@ def _failures(check, items, threads: int) -> tuple:
     return tuple(f for fs in ordered_map(check, items, threads) for f in fs)
 
 
+def _gains(index: int, who: str, report) -> list:
+    """The failure line of a deviation verdict that is not dominant."""
+    if report.dominant:
+        return []
+    return [
+        f"scenario {index}: {who} gains via {report.witness} "
+        f"({report.truthful_utility} -> {report.best_deviation_utility})"
+    ]
+
+
 def verify_budget_and_refunds(n: int, seed: int, threads: int = 1) -> HarnessResult:
     """Every refund non-negative and total outflows within total inflows,
     over mixed profiles with 0-3 registered builders."""
@@ -134,12 +143,7 @@ def verify_searcher_dsic(n: int, seed: int, threads: int = 1) -> HarnessResult:
         pool = core if core else sorted(b.id for b in scenario.bundles)
         subject = pool[rng.randrange(len(pool))]
         report = searcher_deviation_sweep(scenario, subject)
-        if report.dominant:
-            return []
-        return [
-            f"scenario {i}: searcher {subject} gains via {report.witness} "
-            f"({report.truthful_utility} -> {report.best_deviation_utility})"
-        ]
+        return _gains(i, f"searcher {subject}", report)
 
     return HarnessResult("dsic-searcher", n, _failures(check, range(n), threads), {})
 
@@ -155,12 +159,7 @@ def verify_builder_dsic(n: int, seed: int, threads: int = 1) -> HarnessResult:
         rng = random.Random(_subseed(seed, i) ^ 0xB1D)
         subject = rng.randrange(len(scenario.builders))
         report = builder_deviation_sweep(scenario, subject)
-        if report.dominant:
-            return []
-        return [
-            f"scenario {i}: builder {subject} gains via {report.witness} "
-            f"({report.truthful_utility} -> {report.best_deviation_utility})"
-        ]
+        return _gains(i, f"builder {subject}", report)
 
     return HarnessResult("dsic-builder", n, _failures(check, range(n), threads), {})
 
@@ -191,12 +190,7 @@ def verify_integration(n: int, seed: int, threads: int = 1) -> HarnessResult:
     def check(game) -> list:
         index, scenario, subject, builder = game
         report = integration_game(scenario, subject, builder)
-        if report.dominant:
-            return []
-        return [
-            f"scenario {index}: pair ({subject}, builder {builder}) "
-            f"gains via {report.witness}"
-        ]
+        return _gains(index, f"pair ({subject}, builder {builder})", report)
 
     return HarnessResult(
         "integration", len(games), _failures(check, games, threads), {}

@@ -88,90 +88,54 @@ def _default_block(bundles, bids, env: BuilderEnv) -> Block:
     return block_building(bundles, env.k_cutoff, env.seed, env.label, bids)
 
 
-class CopyDefaultBuilder(BuilderAlgorithm):
-    """Runs the default algorithm under its own label and bids truthfully."""
-
-    name = "copy-default"
-
-    def produce(self, bundles, bids, env):
-        block = _default_block(bundles, bids, env)
-        return block, block_total_bid(block, bundles, env.label, bids)
+def _by_bid(bundles, bids, env) -> Block:
+    return greedy_by_bid(bundles, env.label, bids)
 
 
-class GreedyBidBuilder(BuilderAlgorithm):
-    name = "greedy-bid"
+def _hash_extreme(pick):
+    """Block rule: the bundle whose first tx hash is `pick` (min or max)."""
 
-    def produce(self, bundles, bids, env):
-        block = greedy_by_bid(bundles, env.label, bids)
-        return block, block_total_bid(block, bundles, env.label, bids)
-
-
-class GreedyDensityBuilder(BuilderAlgorithm):
-    name = "greedy-density"
-
-    def produce(self, bundles, bids, env):
-        block = greedy_by_density(bundles, env.label, bids)
-        return block, block_total_bid(block, bundles, env.label, bids)
-
-
-class EmptyBuilder(BuilderAlgorithm):
-    """Dominated stub: empty block, zero bid. Can never beat the default."""
-
-    name = "empty"
-
-    def produce(self, bundles, bids, env):
-        return (), 0.0
-
-
-class HalfDefaultBuilder(BuilderAlgorithm):
-    """Dominated stub: the default block at half its value."""
-
-    name = "half-default"
-
-    def produce(self, bundles, bids, env):
-        block = _default_block(bundles, bids, env)
-        return block, block_total_bid(block, bundles, env.label, bids) / 2.0
-
-
-class ConstantBidBuilder(BuilderAlgorithm):
-    """Greedy block with a fixed bid, regardless of the block's worth."""
-
-    name = "constant-bid"
-
-    def __init__(self, bid: float = 0.0):
-        self.bid = float(bid)
-
-    def produce(self, bundles, bids, env):
-        return greedy_by_bid(bundles, env.label, bids), self.bid
-
-
-class HashExtremeBuilder(BuilderAlgorithm):
-    """Includes only the bundle whose first tx hash is smallest/largest."""
-
-    def __init__(self, largest: bool):
-        self.largest = largest
-        self.name = "hash-max" if largest else "hash-min"
-
-    def produce(self, bundles, bids, env):
+    def block_rule(bundles, bids, env) -> Block:
         by_id = as_bundle_map(bundles)
         if not by_id:
-            return (), 0.0
-        pick = (max if self.largest else min)(
-            by_id, key=lambda i: (by_id[i].txs[0].tx_hash, i)
-        )
-        block = (pick,)
-        return block, block_total_bid(block, by_id, env.label, bids)
+            return ()
+        return (pick(by_id, key=lambda i: (by_id[i].txs[0].tx_hash, i)),)
+
+    return block_rule
 
 
+class _RegisteredBuilder(BuilderAlgorithm):
+    """A registry entry: the block its block rule returns, bid at the block's
+    total bid times `scale`, or at `fixed_bid` when that is set."""
+
+    def __init__(self, name: str, block_rule, scale=1, fixed_bid=None):
+        self.name, self.block_rule = name, block_rule
+        self.scale, self.fixed_bid = scale, fixed_bid
+
+    def produce(self, bundles, bids, env):
+        block = self.block_rule(bundles, bids, env)
+        if self.fixed_bid is not None:
+            return block, self.fixed_bid
+        return block, block_total_bid(block, bundles, env.label, bids) * self.scale
+
+
+# Every rule runs under the builder's own label. `empty` and `half-default`
+# are dominated stubs: neither can ever outbid the default block.
 BUILDER_REGISTRY = {
-    "copy-default": lambda params: CopyDefaultBuilder(),
-    "greedy-bid": lambda params: GreedyBidBuilder(),
-    "greedy-density": lambda params: GreedyDensityBuilder(),
-    "empty": lambda params: EmptyBuilder(),
-    "half-default": lambda params: HalfDefaultBuilder(),
-    "constant-bid": lambda params: ConstantBidBuilder(params.get("bid", 0.0)),
-    "hash-min": lambda params: HashExtremeBuilder(largest=False),
-    "hash-max": lambda params: HashExtremeBuilder(largest=True),
+    "copy-default": lambda params: _RegisteredBuilder("copy-default", _default_block),
+    "greedy-bid": lambda params: _RegisteredBuilder("greedy-bid", _by_bid),
+    "greedy-density": lambda params: _RegisteredBuilder(
+        "greedy-density", lambda b, bids, env: greedy_by_density(b, env.label, bids)
+    ),
+    "empty": lambda params: _RegisteredBuilder("empty", lambda *_: (), fixed_bid=0.0),
+    "half-default": lambda params: _RegisteredBuilder(
+        "half-default", _default_block, scale=0.5
+    ),
+    "constant-bid": lambda params: _RegisteredBuilder(
+        "constant-bid", _by_bid, fixed_bid=float(params.get("bid", 0.0))
+    ),
+    "hash-min": lambda params: _RegisteredBuilder("hash-min", _hash_extreme(min)),
+    "hash-max": lambda params: _RegisteredBuilder("hash-max", _hash_extreme(max)),
 }
 
 

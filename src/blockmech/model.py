@@ -243,29 +243,6 @@ def as_bundle_map(bundles) -> dict:
     return {b.id: b for b in bundles}
 
 
-def canonical_context(
-    block: Block, subject: int, bundles, coinbase: CoinbaseLabel
-) -> ExecutionContext:
-    """Context the subject bundle executes in within `block`.
-
-    Predecessors are the ids placed before the subject whose effective write
-    set intersects the subject's footprint, in block order. Appending bundles
-    after the subject can never change the result.
-    """
-    by_id = as_bundle_map(bundles)
-    if subject not in block:
-        raise ModelError(f"bundle {subject} not included in block")
-    subj = by_id[subject]
-    footprint = subj.footprint
-    preds = []
-    for j in block:
-        if j == subject:
-            break
-        if by_id[j].effective_writes(coinbase) & footprint:
-            preds.append(j)
-    return ExecutionContext(tuple(preds), coinbase)
-
-
 def evaluate_bid(
     bundle: Bundle, ctx: ExecutionContext, fn: Optional[BidFunction] = None
 ) -> float:

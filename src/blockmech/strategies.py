@@ -142,28 +142,14 @@ def builder_deviation_sweep(scenario: Scenario, j: int) -> DeviationReport:
     return _verdict(f"builder:{j}", truthful, deviations)
 
 
-@dataclass(frozen=True)
-class IntegrationReport:
-    subject: int
-    builder: int
-    desired_utility: float  # joint, at (participate, both truthful)
-    best_deviation_utility: float
-    dominant: bool
-    witness: Optional[str]
-    table: dict  # cell label -> joint utility
-    note: str = (
-        "joint utility of the searcher-builder pair over the full "
-        "participate/integrate x misreport x builder-offset grid"
-    )
-
-
-def integration_game(scenario: Scenario, i: int, j: int) -> IntegrationReport:
+def integration_game(scenario: Scenario, i: int, j: int) -> DeviationReport:
     """Participate-vs-integrate meta-game for a conflict-free bundle.
 
     Integration is modeled as gating the bundle on the builder's coinbase
     label: under every other algorithm it is a no-op. The desired cell is
     (participate, truthful bid, truthful builder bid); dominance is judged
-    on the pair's joint utility.
+    on the pair's joint utility, and `deviations` holds every cell, the
+    desired one included.
     """
     participate = prepare(scenario)
     if i not in participate.conflict_free:
@@ -188,18 +174,7 @@ def integration_game(scenario: Scenario, i: int, j: int) -> IntegrationReport:
                     i, outcome, prepared.scenario.bundle_map(), valuation=truth
                 ) + builder_utility(j, outcome)
     desired = table["participate|bid=truthful|builder=+0"]
-    best_label = max(table, key=table.get)
-    best = table[best_label]
-    dominant = desired >= best - ABS_TOLERANCE
-    return IntegrationReport(
-        subject=i,
-        builder=j,
-        desired_utility=desired,
-        best_deviation_utility=best,
-        dominant=dominant,
-        witness=None if dominant else best_label,
-        table=table,
-    )
+    return _verdict(f"pair:{i},builder:{j}", desired, table)
 
 
 @dataclass(frozen=True)

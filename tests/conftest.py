@@ -1,4 +1,5 @@
-"""Shared test helpers: terse bundle/scenario constructors."""
+"""Shared test helpers: terse bundle/scenario constructors and the
+reference for a bundle's execution context within a block."""
 
 from __future__ import annotations
 
@@ -7,9 +8,12 @@ import pytest
 from blockmech.model import (
     Bundle,
     ConstantBid,
+    ExecutionContext,
+    ModelError,
     Scenario,
     StorageKey,
     TxRef,
+    as_bundle_map,
 )
 
 
@@ -54,6 +58,27 @@ def make_scenario(*bundles, builders=(), k_cutoff=8, seed=0) -> Scenario:
     return Scenario(
         bundles=tuple(bundles), builders=tuple(builders), k_cutoff=k_cutoff, seed=seed
     )
+
+
+def canonical_context(block, subject: int, bundles, coinbase) -> ExecutionContext:
+    """Context the subject bundle executes in within `block`.
+
+    Predecessors are the ids placed before the subject whose effective write
+    set intersects the subject's footprint, in block order. Appending bundles
+    after the subject can never change the result.
+    """
+    by_id = as_bundle_map(bundles)
+    if subject not in block:
+        raise ModelError(f"bundle {subject} not included in block")
+    subj = by_id[subject]
+    footprint = subj.footprint
+    preds = []
+    for j in block:
+        if j == subject:
+            break
+        if by_id[j].effective_writes(coinbase) & footprint:
+            preds.append(j)
+    return ExecutionContext(tuple(preds), coinbase)
 
 
 @pytest.fixture

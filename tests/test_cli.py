@@ -293,7 +293,9 @@ def test_nonpositive_k_cutoff_is_a_usage_error(capsys, tmp_path, argv):
          "--threads must be >= 1, got 0"),
         (["compare", "--gen", "realistic", "--n", "2", "--threads", "-4"],
          "--threads must be >= 1, got -4"),
-        (["compare", EXAMPLE2, "--threads", "0"], "--threads must be >= 1, got 0"),
+        # a scenario file runs no sweep, so the flag is refused before its value
+        (["compare", EXAMPLE2, "--threads", "0"],
+         "--threads applies to --gen, not to a scenario file"),
     ],
     ids=[
         "verify-n-negative", "verify-n-0", "compare-gen-n", "game-n",
@@ -301,6 +303,27 @@ def test_nonpositive_k_cutoff_is_a_usage_error(capsys, tmp_path, argv):
     ],
 )
 def test_counts_and_threads_below_one_are_usage_errors(capsys, tmp_path, argv, message):
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(report))
+    assert code == 2
+    assert err == f"error: {message}\n" and out == ""
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare", EXAMPLE2, "--n", "7"], "--n applies to --gen, not to a scenario file"),
+        (["compare", EXAMPLE2, "--threads", "2"],
+         "--threads applies to --gen, not to a scenario file"),
+        (["game", "adoption", EXAMPLE2, "--n", "7"],
+         "--n applies to the adoption sweep, not to a scenario file"),
+        (["game", "adoption", EXAMPLE2, "--seed", "3"],
+         "--seed applies to the adoption sweep, not to a scenario file"),
+    ],
+    ids=["compare-n", "compare-threads", "game-n", "game-seed"],
+)
+def test_sweep_flags_on_a_scenario_file_are_usage_errors(capsys, tmp_path, argv, message):
     report = tmp_path / "report.json"
     code, out, err = run_cli(capsys, *argv, "--out", str(report))
     assert code == 2

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockmech.conflict import conflict_free_set, conflicts, get_conflict_groups
-from blockmech.model import CoinbaseLabel, canonical_context
+from blockmech.model import CoinbaseLabel
 
-from conftest import key, make_bundle
+from conftest import canonical_context, key, make_bundle
 
 LABEL = CoinbaseLabel("test")
 

@@ -47,13 +47,12 @@ from blockmech.fixtures import (
 )
 from blockmech.mechanism import (
     BuilderAlgorithm,
-    CopyDefaultBuilder,
-    HalfDefaultBuilder,
-    GreedyBidBuilder,
+    instantiate_builders,
     refund_default,
     run_mechanism,
 )
 from blockmech.model import (
+    BuilderSpec,
     Bundle,
     ConstantBid,
     ExecutionContext,
@@ -324,8 +323,9 @@ class _EnvSpy(BuilderAlgorithm):
 
 
 def _lineups():
-    reusing = [CopyDefaultBuilder(), HalfDefaultBuilder(), GreedyBidBuilder()]
-    rebuilding = [_RebuildDefault(1.0), _RebuildDefault(2.0), GreedyBidBuilder()]
+    names = ("copy-default", "half-default", "greedy-bid")
+    reusing = instantiate_builders([BuilderSpec(name) for name in names])
+    rebuilding = [_RebuildDefault(1.0), _RebuildDefault(2.0), reusing[2]]
     return reusing, rebuilding
 
 

@@ -5,15 +5,26 @@ from __future__ import annotations
 import pytest
 from fractions import Fraction
 
+from blockmech import harness
+from blockmech.baselines import greedy_by_bid, greedy_by_density
 from blockmech.conflict import get_conflict_groups
 from blockmech.default_algo import block_building, counterfactual_blocks
-from blockmech.fixtures import integration_fixture
+from blockmech.fixtures import (
+    collusion_scenario,
+    deficit_scenario,
+    example2_scenario,
+    integration_fixture,
+)
 from blockmech.mechanism import (
+    BUILDER_REGISTRY,
     BuilderAlgorithm,
+    BuilderEnv,
     MechanismError,
     alternative_refund,
+    builder_label,
     builder_utility,
     instantiate_builders,
+    prepare,
     refund_default,
     run_mechanism,
     searcher_utility,
@@ -314,3 +325,98 @@ def test_budget_balance_and_nonnegative_refunds_random(index):
     # rationality must hold for every searcher
     for i in scenario.bundle_map():
         assert searcher_utility(i, outcome, scenario.bundle_map()) >= -1e-9
+
+
+# -- registry builders against a restatement of their rules ---------------
+
+
+def _reference_produce(name, params, bundles, bids, env):
+    """What each registry name produces, spelled out one rule at a time:
+    copy-default and half-default take the offered default block or rebuild
+    it, the greedy names take their greedy block, hash-min/hash-max the
+    bundle with the smallest/largest first tx hash; the bid is the block's
+    total bid (halved for half-default), zero for empty, and the `bid`
+    param for constant-bid."""
+
+    def default():
+        if env.default_block is not None:
+            return env.default_block
+        return block_building(bundles, env.k_cutoff, env.seed, env.label, bids)
+
+    def truthful(block):
+        return block, block_total_bid(block, bundles, env.label, bids)
+
+    if name == "copy-default":
+        return truthful(default())
+    if name == "half-default":
+        block = default()
+        return block, block_total_bid(block, bundles, env.label, bids) / 2.0
+    if name == "greedy-bid":
+        return truthful(greedy_by_bid(bundles, env.label, bids))
+    if name == "greedy-density":
+        return truthful(greedy_by_density(bundles, env.label, bids))
+    if name == "empty":
+        return (), 0.0
+    if name == "constant-bid":
+        return greedy_by_bid(bundles, env.label, bids), float(params.get("bid", 0.0))
+    assert name in ("hash-min", "hash-max")
+    by_id = dict(bundles)
+    if not by_id:
+        return (), 0.0
+    pick = (max if name == "hash-max" else min)(
+        by_id, key=lambda i: (by_id[i].txs[0].tx_hash, i)
+    )
+    return truthful((pick,))
+
+
+def _registry_inputs():
+    """(core, bids, default block) from the four fixtures, ten sweep-profile
+    scenarios and an empty core; bids are the declared ones or every core
+    bid scaled by a quarter."""
+    scenarios = [
+        example2_scenario(), deficit_scenario(), collusion_scenario(),
+        integration_fixture(),
+    ] + [generate_scenario(harness._SWEEP_PROFILE, seed) for seed in range(10)]
+    out = [({}, None, ())]
+    for scenario in scenarios:
+        for bids in (None, "scaled"):
+            if bids == "scaled":
+                bids = {i: b.bid.scaled(0.25) for i, b in scenario.bundle_map().items()}
+            prepared = prepare(scenario, bids)
+            out.append((prepared.core, bids, prepared.default_block))
+    return out
+
+
+_REGISTRY_CASES = [(name, {}) for name in sorted(BUILDER_REGISTRY)] + [
+    ("constant-bid", {"bid": 12.25}),
+    ("constant-bid", {"bid": 0}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    _REGISTRY_CASES,
+    ids=[name + "".join(f"-bid={v}" for v in p.values()) for name, p in _REGISTRY_CASES],
+)
+def test_registry_builders_equal_their_rules(name, params):
+    builder = instantiate_builders((BuilderSpec(name, params),))[0]
+    assert builder.name == name
+    checked = 0
+    for core, bids, default_block in _registry_inputs():
+        # an offered block is taken as it is, even one a rebuild would not give
+        for offered in (default_block, default_block[::-1], None):
+            for index in (0, 2):
+                env = BuilderEnv(builder_label(index), 8, 5, offered)
+                block, bid = builder.produce(core, bids, env)
+                ref_block, ref_bid = _reference_produce(name, params, core, bids, env)
+                assert tuple(block) == tuple(ref_block)
+                assert float(bid).hex() == float(ref_bid).hex()
+                checked += 1
+    assert checked == 6 * (1 + 2 * 14)
+
+
+def test_registry_builders_share_one_class():
+    classes = {type(factory({})) for factory in BUILDER_REGISTRY.values()}
+    assert len(classes) == 1
+    (cls,) = classes
+    assert issubclass(cls, BuilderAlgorithm) and "produce" in vars(cls)

@@ -18,13 +18,12 @@ from blockmech.model import (
     block_bids,
     block_total_bid,
     builder_label,
-    canonical_context,
     evaluate_bid,
     one_time_label,
     validate_builder_block,
 )
 
-from conftest import key, make_bundle
+from conftest import canonical_context, key, make_bundle
 
 LABEL = CoinbaseLabel("test")
 

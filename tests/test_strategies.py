@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -189,19 +190,19 @@ def test_integration_case1_builder_wins():
     scenario = _case1_scenario()
     report = integration_game(scenario, 3, 0)
     # joint utility at truth: v_i + V_j - best competing bid = 25 + 130 - 30
-    assert report.desired_utility == 125
+    assert report.truthful_utility == 125
     assert report.dominant
     # integrating while the builder wins anyway changes nothing
-    assert report.table["integrate|bid=truthful|builder=+0"] == 125
+    assert report.deviations["integrate|bid=truthful|builder=+0"] == 125
 
 
 def test_integration_case2_builder_loses():
     scenario = integration_fixture()
     report = integration_game(scenario, 3, 1)  # builder 1 is the empty stub
-    assert report.desired_utility == 25  # just the bundle's own valuation
+    assert report.truthful_utility == 25  # just the bundle's own valuation
     assert report.dominant
     # integrating with a loser voids the bundle entirely
-    assert report.table["integrate|bid=truthful|builder=+0"] == 0
+    assert report.deviations["integrate|bid=truthful|builder=+0"] == 0
 
 
 def test_integration_rejects_core_bundles():
@@ -422,7 +423,7 @@ def test_integration_game_equals_literal_runs(profile_name):
         for j in range(len(scenario.builders)):
             for i in free[:2]:
                 report = integration_game(scenario, i, j)
-                assert list(report.table.items()) == _literal_integration_table(
+                assert list(report.deviations.items()) == _literal_integration_table(
                     scenario, i, j
                 )
                 checked += 1
@@ -492,3 +493,15 @@ def test_collusion_rows_equal_literal_runs(monkeypatch, profile_name):
         assert settled == _literal_collusion_runs(scenario)
         checked += 1
     assert checked >= 1
+
+
+def test_every_deviation_verdict_fails_with_one_line_shape(monkeypatch):
+    def losing_game(scenario, i, j):
+        return strategies._verdict(f"pair:{i},builder:{j}", 1.0, {"integrate|x": 2.0})
+
+    monkeypatch.setattr(harness, "integration_game", losing_game)
+    (line,) = harness.verify_integration(1, 3).failures
+    assert re.fullmatch(
+        r"scenario \d+: pair \(\d+, builder \d+\) gains via integrate\|x \(1\.0 -> 2\.0\)",
+        line,
+    )
