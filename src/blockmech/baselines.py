@@ -9,17 +9,17 @@ block's context and stop when nothing adds positive value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Mapping, Optional
 
 from .default_algo import block_building
 from .model import (
     Block,
     CoinbaseLabel,
-    ExecutionContext,
     Scenario,
+    _bid_lookup,
     as_bundle_map,
     block_total_bid,
-    evaluate_bid,
     one_time_label,
 )
 from .oracle import DEFAULT_OMEGA_LIMIT, vcg_outcome
@@ -30,37 +30,50 @@ def _greedy(bundles, coinbase, bids, key_weight) -> Block:
     key_weight in the partial block's context, the first in id order on
     ties, until that bundle's value is not positive.
 
-    Values are cached between rounds. Placing a bundle changes the context
-    only of the remaining bundles whose footprint meets its effective
-    writes; only those get it appended to their predecessors and are
-    evaluated again.
+    Each bundle's bid is resolved once (`model._bid_lookup`) and its value
+    cached. Placing a bundle changes the context only of the remaining
+    bundles whose footprint meets its effective writes; only those get it
+    appended to their predecessors and are evaluated again. A heap on
+    (-key, id) yields the largest key, lowest id first; each evaluation
+    pushes a fresh entry, and an entry whose key is no longer the bundle's
+    current one (or whose bundle is placed) is skipped when popped.
     """
     by_id = as_bundle_map(bundles)
-    remaining = sorted(by_id)
     touching: dict = {}  # storage key -> ids whose footprint holds it
-    for i in remaining:
-        for k in by_id[i].footprint:
-            touching.setdefault(k, []).append(i)
-    preds = {i: [] for i in remaining}
+    lookups: dict = {}
+    weights: dict = {}
+    preds: dict = {}  # id -> placed predecessor ids, as strings, in order
     values: dict = {}
-    keys: dict = {}
+    keys: dict = {}  # remaining id -> current key
+    heap: list = []
 
     def evaluate(i: int) -> None:
-        fn = bids.get(i) if bids is not None else None
-        ctx = ExecutionContext(tuple(preds[i]), coinbase)
-        values[i] = evaluate_bid(by_id[i], ctx, fn)
-        keys[i] = values[i] / key_weight(by_id[i])
+        constant, table, default = lookups[i]
+        if constant is None:
+            value = table.get(",".join(preds[i]), default)
+        else:
+            value = constant
+        values[i] = value
+        keys[i] = key = value / weights[i]
+        heappush(heap, (-key, i))
 
-    for i in remaining:
+    for i in sorted(by_id):
+        b = by_id[i]
+        for k in b.footprint:
+            touching.setdefault(k, []).append(i)
+        fn = bids.get(i) if bids is not None else None
+        lookups[i] = _bid_lookup(b, coinbase, fn)
+        weights[i] = key_weight(b)
+        preds[i] = []
         evaluate(i)
     block = []
-    while remaining:
-        # max keeps the first of equal keys, so ties go to the lowest id
-        best_id = max(remaining, key=keys.__getitem__)
+    while heap:
+        neg, best_id = heappop(heap)
+        if keys.get(best_id) != -neg:
+            continue  # stale: re-evaluated since, or already placed
         if values[best_id] <= 0.0:
             break
         block.append(best_id)
-        remaining.remove(best_id)
         del keys[best_id]
         affected = {
             j
@@ -68,8 +81,9 @@ def _greedy(bundles, coinbase, bids, key_weight) -> Block:
             for j in touching[k]
             if j in keys
         }
+        placed = str(best_id)
         for j in affected:
-            preds[j].append(best_id)
+            preds[j].append(placed)
             evaluate(j)
     return tuple(block)
 

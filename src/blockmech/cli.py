@@ -211,6 +211,8 @@ def _cmd_groups(args) -> int:
 
 def _cmd_compare(args) -> int:
     if args.gen:
+        if args.scenario:
+            raise UsageError("compare takes a scenario path or --gen, not both")
         if args.k_cutoff is not None:
             raise UsageError("--k-cutoff applies to a scenario file, not to --gen")
         n, threads = _sweep_size(args, "n", 100), _sweep_size(args, "threads", 1)

@@ -64,8 +64,7 @@ from .model import (
     DEFAULT_K_CUTOFF,  # re-exported: the cutoff's home is `model`
     Block,
     CoinbaseLabel,
-    ConstantBid,
-    GatedBid,
+    _bid_lookup,
     as_bundle_map,
     block_bids,
 )
@@ -147,10 +146,11 @@ class _GroupEvaluator:
     """The tables `_walk` reads for one bundle set under a fixed label and
     bid profile.
 
-    Gate checks and gated-bid unwrapping happen once up front, predecessor
-    filtering works on precomputed bitmasks, and table lookups reuse interned
-    id strings. Every contribution equals `model.block_bids`'s under the same
-    label and profile; the test suite pins the walk to a `block_bids` scan.
+    Gates and gated bids are resolved once up front (`model._bid_lookup`),
+    predecessor filtering works on precomputed bitmasks, and table lookups
+    reuse interned id strings. Every contribution equals `model.block_bids`'s
+    under the same label and profile; the test suite pins the walk to a
+    `block_bids` scan.
     """
 
     def __init__(self, bundles: dict, coinbase: CoinbaseLabel, bids=None):
@@ -170,21 +170,13 @@ class _GroupEvaluator:
             for t, i in enumerate(ids)
         ]
         for t, i in enumerate(ids):
-            b = bundles[i]
             fn = bids.get(i) if bids else None
-            if fn is None:
-                fn = b.bid
-            if b.gate is not None and b.gate != coinbase:
-                fn = None  # no-op bundle: bids nothing under this label
-            while isinstance(fn, GatedBid):
-                fn = fn.inner if fn.target == coinbase else None
-            if fn is None:
-                self.const[t] = 0.0
-            elif isinstance(fn, ConstantBid):
-                self.const[t] = fn.value
+            const, table, default = _bid_lookup(bundles[i], coinbase, fn)
+            if const is None:
+                self.entries[t] = dict(table)  # plain dict: faster .get
+                self.default[t] = default
             else:
-                self.entries[t] = dict(fn.entries)  # plain dict: faster .get
-                self.default[t] = fn.default
+                self.const[t] = const
 
 
 def _walk(

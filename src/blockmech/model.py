@@ -13,7 +13,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 # Account-balance conflicts share the key space with contract storage via a
 # reserved slot value.
@@ -37,9 +37,11 @@ def _check_bid_value(value, what: str) -> None:
         raise ModelError(f"negative {what} {value}")
 
 
-@dataclass(frozen=True, order=True)
-class StorageKey:
-    """One storage location: a contract address plus a slot identifier."""
+class StorageKey(NamedTuple):
+    """One storage location: a contract address plus a slot identifier.
+
+    A named tuple, so the set operations on footprints hash and compare keys
+    in C."""
 
     address: str
     slot: str
@@ -258,6 +260,31 @@ def evaluate_bid(
     return fn.evaluate(ctx)
 
 
+def _bid_lookup(
+    bundle: Bundle, coinbase: CoinbaseLabel, fn: Optional[BidFunction] = None
+) -> tuple:
+    """The bundle's bid under `coinbase` as (constant, table, default).
+
+    The bundle gate and any `GatedBid` wrappers are resolved here, once. A
+    constant payment (0.0 when a gate does not match) comes back as
+    (value, None, 0.0); a table bid as (None, entries, default), to be read
+    with `table.get(signature, default)`, which is what `evaluate_bid` pays
+    in a context with that predecessor signature. `fn` overrides the
+    declared bid as in `evaluate_bid`.
+    """
+    if bundle.gate is not None and bundle.gate != coinbase:
+        return 0.0, None, 0.0
+    if fn is None:
+        fn = bundle.bid
+    while isinstance(fn, GatedBid):
+        if fn.target != coinbase:
+            return 0.0, None, 0.0
+        fn = fn.inner
+    if isinstance(fn, ConstantBid):
+        return fn.value, None, 0.0
+    return None, fn.entries, fn.default
+
+
 def block_bids(
     block: Block,
     bundles,
@@ -266,10 +293,11 @@ def block_bids(
 ) -> dict:
     """Per-included-bundle bid values, evaluated in one pass over the block.
 
-    Each entry's predecessors come from a per-key index of the effective
-    writers placed so far, so the cost follows the conflicts an entry has,
-    not the block length. `bids` optionally overrides bid functions per
-    bundle id; ids absent from the override use their declared bid.
+    A constant bid is read without looking at predecessors. A table bid's
+    predecessors come from a per-key index of the effective writers placed
+    so far, so the cost follows the conflicts an entry has, not the block
+    length. `bids` optionally overrides bid functions per bundle id; ids
+    absent from the override use their declared bid.
     """
     by_id = as_bundle_map(bundles)
     violation = validate_builder_block(block, by_id)
@@ -279,13 +307,18 @@ def block_bids(
     writers: dict = {}  # storage key -> positions of placed bundles writing it
     for position, i in enumerate(block):
         b = by_id[i]
-        hits: set = set()
-        for key in b.footprint:
-            hits.update(writers.get(key, ()))
-        # A list, not a generator: repeated generator frames ratchet peak RSS.
-        preds = tuple([block[p] for p in sorted(hits)])
         fn = bids.get(i) if bids is not None else None
-        values[i] = evaluate_bid(b, ExecutionContext(preds, coinbase), fn)
+        constant, table, default = _bid_lookup(b, coinbase, fn)
+        if constant is None:
+            hits: set = set()
+            for key in b.footprint:
+                hits.update(writers.get(key, ()))
+            # A list, not a generator: repeated generator frames ratchet
+            # peak RSS.
+            signature = ",".join([str(block[p]) for p in sorted(hits)])
+            values[i] = table.get(signature, default)
+        else:
+            values[i] = constant
         for key in b.effective_writes(coinbase):
             writers.setdefault(key, []).append(position)
     return values

@@ -1,7 +1,8 @@
 """Executable checks of the mechanism's game-theoretic properties.
 
 Deviation sweeps are grid-based empirical comparisons over finite misreport
-grids, not proofs over the continuum of bid functions; every report says so.
+grids, not proofs over the continuum of bid functions; the `verify` report
+says so in its `note` (see `cli.py`).
 The demos exhibit three known failure modes on self-contained fixtures: the
 collusion exploit against the alternative refund rule, the budget deficit a
 "fully ideal" mechanism would run, and refund inflation through bundle
@@ -57,10 +58,6 @@ class DeviationReport:
     dominant: bool
     witness: Optional[str]
     deviations: dict  # label -> utility
-    note: str = (
-        "grid-based empirical check over a finite misreport grid, "
-        "not a proof over all bid functions"
-    )
 
 
 def standard_bid_transforms(fn) -> list:

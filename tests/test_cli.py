@@ -263,6 +263,18 @@ def test_compare_gen_refuses_k_cutoff(capsys):
     assert "--k-cutoff" in err and out == ""
 
 
+def test_compare_gen_refuses_a_scenario_path(capsys, tmp_path):
+    # The path is never read under --gen, so it must not be silently dropped.
+    missing = str(tmp_path / "nonexistent.json")
+    for scenario in (missing, EXAMPLE2):
+        code, out, err = run_cli(
+            capsys, "compare", scenario, "--gen", "realistic", "--n", "1"
+        )
+        assert code == 2
+        assert err.startswith("error: compare takes a scenario path or --gen")
+        assert out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

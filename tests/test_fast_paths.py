@@ -3,7 +3,7 @@
 - group-local refunds of `run_mechanism` against `refund_default` over
   `counterfactual_blocks`;
 - the indexed `model.block_bids` against a scan of every placed bundle;
-- the incremental greedies against the quadratic greedy kept below;
+- the heap-ordered greedies against the quadratic greedy kept below;
 - builders reusing the default block against ones that rebuild it;
 - the prefix-tree walk of `default_algo` against a per-candidate
   `block_bids` scan, and the oracle built on it against a `full_omega` +
@@ -21,6 +21,7 @@ optimum rather than the scan's float bits.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from dataclasses import replace
@@ -52,6 +53,7 @@ from blockmech.mechanism import (
     run_mechanism,
 )
 from blockmech.model import (
+    BALANCE_SLOT,
     BuilderSpec,
     Bundle,
     ConstantBid,
@@ -60,6 +62,7 @@ from blockmech.model import (
     StorageKey,
     TableBid,
     TxRef,
+    ZERO_BID,
     block_bids,
     block_total_bid,
     builder_label,
@@ -67,9 +70,10 @@ from blockmech.model import (
     one_time_label,
 )
 from blockmech.oracle import VcgOutcome, full_omega, vcg_outcome
+from blockmech.scenario_io import load_scenario, save_scenario
 from blockmech.workload import PROFILES, Profile, generate_scenario
 
-from conftest import key, make_bundle
+from conftest import key, make_bundle, make_scenario
 
 # The order-flow shape at 400 bundles: groups of 1-3, table bids, both
 # shortcuts present.
@@ -211,6 +215,32 @@ def test_indexed_block_bids_equal_placed_scan(seed):
                 assert list(fast.items()) == list(slow.items())
 
 
+def test_indexed_block_bids_with_nested_gates_and_constant_bids():
+    # Nested gated overrides pay only when both labels match, which no run
+    # label does; constant bids on empty footprints skip the predecessor
+    # lookup entirely.
+    rng = random.Random(41)
+    bundles = _order_sensitive_bundles(rng, 7)
+    for i in (8, 9, 10):
+        bundles[i] = make_bundle(i, float(i), gate=GATE if i == 9 else None)
+    ids = sorted(bundles)
+    assert not any(bundles[i].footprint for i in (8, 9, 10))
+    other = builder_label(1)
+    override = {
+        ids[0]: GatedBid(GATE, GatedBid(other, ConstantBid(7.0))),
+        ids[1]: GatedBid(GATE, GatedBid(GATE, TableBid({"": 2.0, "1": 9.0}, 4.0))),
+        ids[2]: GatedBid(other, GatedBid(other, ConstantBid(6.0))),
+        9: GatedBid(GATE, ConstantBid(11.0)),
+    }
+    for label in (GATE, other, builder_label(2)):
+        for _ in range(40):
+            block = tuple(rng.sample(ids, rng.randint(0, len(ids))))
+            for bids in (None, override):
+                fast = block_bids(block, bundles, label, bids)
+                slow = _placed_scan_block_bids(block, bundles, label, bids)
+                assert list(fast.items()) == list(slow.items())
+
+
 def test_indexed_block_bids_on_generated_scenarios():
     for scenario in (
         generate_scenario(PROFILES["realistic"], 4),
@@ -222,6 +252,45 @@ def test_indexed_block_bids_on_generated_scenarios():
         assert block_bids(block, bundles, label) == _placed_scan_block_bids(
             block, bundles, label
         )
+
+
+# -- storage keys ----------------------------------------------------------
+
+
+def test_storage_key_order_repr_and_file_round_trip(tmp_path):
+    # Keys hash and compare as tuples; order, repr and the saved bytes are
+    # those of an ordered (address, slot) record.
+    keys = [
+        StorageKey("b", "a"),
+        StorageKey.balance("a"),
+        StorageKey("a", "z"),
+        StorageKey("a", "_"),
+        StorageKey("B", "s"),
+    ]
+    assert sorted(keys) == [
+        StorageKey("B", "s"),
+        StorageKey("a", "_"),
+        StorageKey("a", "__balance__"),
+        StorageKey("a", "z"),
+        StorageKey("b", "a"),
+    ]
+    assert StorageKey.balance("a") == StorageKey("a", BALANCE_SLOT)
+    assert repr(StorageKey("c", "s0")) == "StorageKey(address='c', slot='s0')"
+    bundle = make_bundle(1, 3.0, reads=keys[:3], writes=keys[2:])
+    scenario = make_scenario(bundle)
+    path = tmp_path / "keys.json"
+    save_scenario(scenario, path)
+    saved = json.loads(path.read_text())["bundles"][0]
+    assert [(k["address"], k["slot"]) for k in saved["reads"]] == [
+        ("a", "__balance__"), ("a", "z"), ("b", "a"),
+    ]
+    assert [(k["address"], k["slot"]) for k in saved["writes"]] == [
+        ("B", "s"), ("a", "_"), ("a", "z"),
+    ]
+    loaded = load_scenario(path)
+    assert loaded == scenario
+    save_scenario(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 # -- greedy builders ------------------------------------------------------
@@ -290,6 +359,55 @@ def test_incremental_greedies_on_zero_bids_and_ties():
     }
     for label in (GATE, builder_label(1)):
         _assert_greedies_match(gated, label)
+
+
+HOT_KEYS = [StorageKey("hot", f"k{k}") for k in range(3)]
+
+
+def _tie_heavy_bundles(rng: random.Random, n: int) -> dict:
+    """Bundles whose integer bids in 0..4 tie often, most of them touching
+    one of three hot keys, so that most placements re-evaluate many
+    remaining bundles. Table bids price the head and a few single
+    predecessors apart from their default; some bundles and some bids are
+    gated on builder 0; weights are 1-3."""
+    out = {}
+    for i in range(1, n + 1):
+        if rng.random() < 0.4:
+            bid = ConstantBid(float(rng.randint(0, 4)))
+        else:
+            entries = {"": float(rng.randint(0, 4))}
+            for j in rng.sample(range(1, n + 1), 4):
+                entries[str(j)] = float(rng.randint(0, 4))
+            bid = TableBid(entries, float(rng.randint(0, 4)))
+        if rng.random() < 0.15:
+            bid = GatedBid(GATE, bid)
+        out[i] = Bundle(
+            id=i,
+            txs=(TxRef(f"0x{i:03x}", "t"),),
+            reads=frozenset(rng.sample(HOT_KEYS, rng.randint(0, 2))),
+            writes=frozenset(rng.sample(HOT_KEYS, rng.randint(0, 1))),
+            weight=rng.randint(1, 3),
+            gate=GATE if rng.random() < 0.1 else None,
+            bid=bid,
+            valuation=bid,
+        )
+    return out
+
+
+def test_heap_greedies_equal_quadratic_reference_on_ties():
+    rng = random.Random(7)
+    bundles = _tie_heavy_bundles(rng, 300)
+    ids = sorted(bundles)
+    # Most bundles touch a hot key, and head values tie in large classes.
+    assert sum(1 for b in bundles.values() if b.footprint) > 200
+    heads = [block_bids((i,), bundles, GATE)[i] for i in ids]
+    assert max(heads.count(v) for v in set(heads)) > 40
+    # Ids absent from the override keep their declared bid.
+    bids = {i: ZERO_BID for i in ids[::9]}
+    bids.update({i: GatedBid(GATE, ConstantBid(3.0)) for i in ids[4::11]})
+    for label in (GATE, builder_label(1)):  # gate matches, gate does not
+        assert len(greedy_by_bid(bundles, label, bids)) > 30
+        _assert_greedies_match(bundles, label, bids)
 
 
 @pytest.mark.parametrize("name", ["realistic-3", "stress-5", "settle-400"])
