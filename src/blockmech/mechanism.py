@@ -139,13 +139,23 @@ BUILDER_REGISTRY = {
 }
 
 
+# The params a registered builder reads; it refuses any other.
+_BUILDER_PARAMS = {"constant-bid": ("bid",)}
+
+
 def instantiate_builders(specs: Sequence[BuilderSpec]) -> list:
     out = []
-    for spec in specs:
+    for n, spec in enumerate(specs):
         factory = BUILDER_REGISTRY.get(spec.name)
         if factory is None:
             raise MechanismError(f"unknown builder algorithm '{spec.name}'")
-        out.append(factory(dict(spec.params)))
+        params = dict(spec.params)
+        for key in params:
+            if key not in _BUILDER_PARAMS.get(spec.name, ()):
+                raise MechanismError(
+                    f"builders[{n}].params: {spec.name} takes no param '{key}'"
+                )
+        out.append(factory(params))
     return out
 
 

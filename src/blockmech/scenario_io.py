@@ -46,6 +46,15 @@ def _require(record, key: str, where: str):
     return record[key]
 
 
+def _fields(record, where: str, *known: str) -> dict:
+    """`record` as an object; a field outside `known` is refused, since
+    nothing would read it."""
+    for key in _object(record, where):
+        if key not in known:
+            raise ScenarioParseError(where, f"unknown field '{key}'")
+    return record
+
+
 def _int(value, where: str, minimum: Optional[int] = None) -> int:
     """A JSON integer. Bools, floats and strings are refused, never
     truncated or coerced."""
@@ -112,9 +121,11 @@ def _bid_value(value, where: str) -> float:
 def _bid_from_dict(record, where: str):
     variant = _require(record, "variant", where)
     if variant == "constant":
+        _fields(record, where, "variant", "value")
         value = _require(record, "value", where)
         return ConstantBid(_bid_value(value, f"{where}.value"))
     if variant == "table":
+        _fields(record, where, "variant", "entries", "default")
         entries = _object(_require(record, "entries", where), f"{where}.entries")
         return TableBid(
             {
@@ -124,6 +135,7 @@ def _bid_from_dict(record, where: str):
             _bid_value(_require(record, "default", where), f"{where}.default"),
         )
     if variant == "gated":
+        _fields(record, where, "variant", "target", "inner")
         return GatedBid(
             CoinbaseLabel(_str(_require(record, "target", where), f"{where}.target")),
             _bid_from_dict(_require(record, "inner", where), f"{where}.inner"),
@@ -139,6 +151,7 @@ def _keys_from_list(records, where: str) -> frozenset:
     keys = []
     for n, rec in enumerate(_list(records, where)):
         loc = f"{where}[{n}]"
+        _fields(rec, loc, "address", "slot")
         keys.append(
             StorageKey(
                 _str(_require(rec, "address", loc), f"{loc}.address"),
@@ -162,9 +175,13 @@ def bundle_to_dict(b: Bundle) -> dict:
 
 
 def bundle_from_dict(record, where: str) -> Bundle:
+    _fields(
+        record, where, "id", "txs", "reads", "writes", "weight", "gate", "bid", "valuation"
+    )
     txs = []
     for n, rec in enumerate(_list(_require(record, "txs", where), f"{where}.txs")):
         loc = f"{where}.txs[{n}]"
+        _fields(rec, loc, "hash", "target")
         txs.append(
             TxRef(
                 _str(_require(rec, "hash", loc), f"{loc}.hash"),
@@ -203,6 +220,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(record) -> Scenario:
+    _fields(record, "$", "bundles", "builders", "k_cutoff", "seed")
     bundles = [
         bundle_from_dict(rec, f"bundles[{n}]")
         for n, rec in enumerate(_list(_require(record, "bundles", "$"), "bundles"))
@@ -210,6 +228,7 @@ def scenario_from_dict(record) -> Scenario:
     builders = []
     for n, rec in enumerate(_list(record.get("builders", []), "builders")):
         loc = f"builders[{n}]"
+        _fields(rec, loc, "name", "params")
         name = _str(_require(rec, "name", loc), f"{loc}.name")
         params = _object(rec.get("params", {}), f"{loc}.params")
         for key, value in params.items():

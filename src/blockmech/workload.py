@@ -6,15 +6,19 @@ conflicts are rare and large conflict groups rarer. Each group gets its own
 storage namespace, so the realized conflict partition is exactly the planned
 one (cross-checked against the conflict module on every generation).
 
-Special-case structure is stamped per group: a shared-pivot group gets one
-common written key plus a shared victim tx and winner-take-all bids (only
-one bundle can land); a same-target group gets a shared balance key, one
-contract address, and constant bids (order is value-irrelevant).
+Each group rolls its stamp once, and one member loop builds every bundle;
+the stamp decides the keys, the tx target and the bid kind. A shared-pivot
+group gets one common written key plus a shared victim tx and winner-take-all
+bids (only one bundle can land); a same-target group gets a shared balance
+key, one contract address, and constant bids (order is value-irrelevant); a
+plain group chains its keys (or shares one contested key under winner-take-all
+bids) and bids by the profile's model.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -34,6 +38,7 @@ from .model import (
 )
 from .scenario_io import (
     ScenarioParseError,
+    _fields,
     _int,
     _list,
     _number,
@@ -96,14 +101,18 @@ PROFILES = {
 
 def load_profile(name_or_path: str) -> Profile:
     """Resolve a builtin profile name, or read a profile JSON file. A
-    malformed file is a ScenarioParseError that names the field."""
+    malformed file, or one with a field this does not read, is a
+    ScenarioParseError that names the field."""
     if name_or_path in PROFILES:
         return PROFILES[name_or_path]
     if not Path(name_or_path).is_file():
         raise GenerationError(
             f"unknown profile '{name_or_path}' (builtins: {', '.join(sorted(PROFILES))})"
         )
-    record = _object(read_json(name_or_path), "$")
+    record = _fields(
+        read_json(name_or_path), "$", "name", "n_bundles", "group_sizes",
+        "shared_pivot_rate", "same_target_rate", "bid_model", "builders", "value_range",
+    )
     sizes = {}
     for key, weight in _object(
         _require(record, "group_sizes", "$"), "group_sizes"
@@ -184,13 +193,16 @@ def _draw_value(profile: Profile, rng: random.Random) -> float:
     return float(rng.randint(lo, hi))
 
 
-def _table_bid(member_ids, own: int, profile: Profile, rng: random.Random):
-    """Order-dependent bid: a base value plus per-predecessor overrides for
-    single-predecessor contexts; deeper contexts fall back to the base.
-    Bundles with no group mates just get the base as a constant."""
+def _draw_bid(bid_model: str, member_ids, own: int, profile: Profile, rng):
+    """A bid of `bid_model`, its base value drawn first. A table bid adds
+    per-predecessor overrides for single-predecessor contexts; deeper
+    contexts fall back to the base. Bundles with no group mates just get
+    the base as a constant."""
     base = _draw_value(profile, rng)
+    if bid_model == "exclusive":
+        return exclusive_bid(base)
     others = [i for i in member_ids if i != own]
-    if not others:
+    if bid_model == "constant" or not others:
         return ConstantBid(base)
     entries = {}
     for j in sorted(rng.sample(others, min(len(others), 4))):
@@ -202,7 +214,9 @@ def generate_scenario(
     profile: Profile, seed: int, k_cutoff: int = DEFAULT_K_CUTOFF
 ) -> Scenario:
     """Pure function of (profile, seed): the same pair always yields a
-    structurally identical scenario."""
+    structurally identical scenario. Draw order, which every generated file
+    depends on: the plan; per group the stamp roll, then a pivot's victim
+    hash; per member the neighbor roll, the bid, the tx hash, the weight."""
     rng = random.Random(seed)
     plan = _plan_group_sizes(profile, rng)
     bundles = []
@@ -213,80 +227,46 @@ def generate_scenario(
         next_id += size
         planned_partition.append(frozenset(member_ids))
 
-        stamp = None
-        if size >= 2:
-            roll = rng.random()
-            if roll < profile.shared_pivot_rate:
-                stamp = "pivot"
-            elif roll < profile.shared_pivot_rate + profile.same_target_rate:
-                stamp = "target"
-
-        if stamp == "pivot":
+        # A singleton is never stamped. The stamp fixes the key every member
+        # writes (`shared`; None means a write chain), each member's tx
+        # target (`tag`; None means the contract itself), the bid model and
+        # the `victim` txs all carry.
+        space = f"c{g}"
+        roll = rng.random() if size >= 2 else math.inf
+        victim = ()
+        if roll < profile.shared_pivot_rate:
             # Sandwiches of one victim: everyone writes the contested pool
             # key and carries the victim tx; at most one bundle pays.
-            pool = StorageKey(f"c{g}", "pool")
-            victim = TxRef(_fresh_hash(rng), f"c{g}")
-            for t, i in enumerate(member_ids):
-                value = _draw_value(profile, rng)
-                bid = exclusive_bid(value)
-                bundles.append(
-                    Bundle(
-                        id=i,
-                        txs=(TxRef(_fresh_hash(rng), f"c{g}s{t}"), victim),
-                        writes=frozenset({pool}),
-                        weight=rng.randint(1, 5),
-                        bid=bid,
-                        valuation=bid,
-                    )
-                )
-            continue
-
-        if stamp == "target":
+            shared, tag, bid_model = StorageKey(space, "pool"), "s", "exclusive"
+            victim = (TxRef(_fresh_hash(rng), space),)
+        elif roll < profile.shared_pivot_rate + profile.same_target_rate:
             # Transfers on one token contract: everyone touches the same
             # balance key, order never changes the payment.
-            balance = StorageKey.balance(f"c{g}")
-            for i in member_ids:
-                bid = ConstantBid(_draw_value(profile, rng))
-                bundles.append(
-                    Bundle(
-                        id=i,
-                        txs=(TxRef(_fresh_hash(rng), f"c{g}"),),
-                        writes=frozenset({balance}),
-                        weight=rng.randint(1, 5),
-                        bid=bid,
-                        valuation=bid,
-                    )
-                )
-            continue
+            shared, tag, bid_model = StorageKey.balance(space), None, "constant"
+        else:
+            # Plain group. Winner-take-all bids need every pair to conflict,
+            # so the whole group writes one contested key; otherwise a write
+            # chain keeps the group connected and later members read or
+            # write their neighbor's key.
+            shared, tag, bid_model = None, "n", profile.bid_model
+            if bid_model == "exclusive":
+                shared = StorageKey(space, "contested")
 
-        # Plain group. Winner-take-all bids need every pair to conflict, so
-        # the whole group writes one contested key; otherwise a write chain
-        # keeps the group connected and later members read or write their
-        # neighbor's key.
-        exclusive = profile.bid_model == "exclusive"
         for t, i in enumerate(member_ids):
-            if exclusive:
-                writes = {StorageKey(f"c{g}", "contested")}
-                reads = set()
-            else:
-                writes = {StorageKey(f"c{g}", f"s{t}")}
-                reads = set()
-                if t > 0:
-                    neighbor = StorageKey(f"c{g}", f"s{t - 1}")
-                    if rng.random() < 0.5:
-                        writes.add(neighbor)
-                    else:
-                        reads.add(neighbor)
-            if exclusive:
-                bid = exclusive_bid(_draw_value(profile, rng))
-            elif profile.bid_model == "constant":
-                bid = ConstantBid(_draw_value(profile, rng))
-            else:
-                bid = _table_bid(member_ids, i, profile, rng)
+            reads = set()
+            writes = {StorageKey(space, f"s{t}") if shared is None else shared}
+            if shared is None and t > 0:
+                neighbor = StorageKey(space, f"s{t - 1}")
+                if rng.random() < 0.5:
+                    writes.add(neighbor)
+                else:
+                    reads.add(neighbor)
+            bid = _draw_bid(bid_model, member_ids, i, profile, rng)
+            target = space if tag is None else f"{space}{tag}{t}"
             bundles.append(
                 Bundle(
                     id=i,
-                    txs=(TxRef(_fresh_hash(rng), f"c{g}n{t}"),),
+                    txs=(TxRef(_fresh_hash(rng), target),) + victim,
                     reads=frozenset(reads),
                     writes=frozenset(writes),
                     weight=rng.randint(1, 5),

@@ -423,6 +423,17 @@ def _constant_bid_builder(params):
             "bundles[0].bid.value",
         ),
         (_set(("bundles", 0, "txs"), []), "mechanism", "bundles[0].txs"),
+        (_set(("bundles", 0, "wieght"), 3), "build", "bundles[0]: unknown field 'wieght'"),
+        (
+            _constant_bid_builder({"bidd": 500}),
+            "mechanism",
+            "builders[0].params: constant-bid takes no param 'bidd'",
+        ),
+        (
+            _set(("builders",), [{"name": "greedy-bid", "params": {"bid": 3}}]),
+            "mechanism",
+            "builders[0].params: greedy-bid takes no param 'bid'",
+        ),
     ],
     ids=[
         "weight-0", "weight-NaN", "weight-past-float-range", "string-id", "string-seed", "txs-object",
@@ -430,6 +441,7 @@ def _constant_bid_builder(params):
         "float-k_cutoff", "bundles-object", "list-hash", "int-target", "null-address",
         "object-slot", "int-gate", "list-gated-target", "int-builder-name",
         "negative-default", "negative-entry", "negative-value", "empty-txs",
+        "unknown-bundle-field", "unread-constant-bid-param", "unread-greedy-bid-param",
     ],
 )
 def test_malformed_scenario_field_is_a_located_usage_error(
@@ -443,6 +455,16 @@ def test_malformed_scenario_field_is_a_located_usage_error(
     assert code == 2
     assert err.startswith(f"error: {location}")
     assert "Traceback" not in err and out == ""
+
+
+def test_misspelled_builders_field_is_refused(capsys, tmp_path):
+    # Read as a scenario with no builders, this would settle an empty auction.
+    record = json.loads((FIXTURE_DIR / "deficit.json").read_text())
+    record["builder"] = record.pop("builders")
+    path = tmp_path / "deficit.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run_cli(capsys, "mechanism", str(path))
+    assert (code, out, err) == (2, "", "error: $: unknown field 'builder'\n")
 
 
 def _field_paths(node, prefix=()):
@@ -688,13 +710,23 @@ def test_compare_reruns_are_byte_identical(capsys, tmp_path, argv):
             "gen",
             "value_range[1]",
         ),
+        (
+            '{"n_bundles": 4, "group_sizes": {"2": 1}, "shared_pivot_rat": 1.0}',
+            "gen",
+            "$: unknown field 'shared_pivot_rat'",
+        ),
+        (
+            '{"n_bundles": 4, "group_sizes": {"2": 1}, "bid-model": "constant"}',
+            "compare",
+            "$: unknown field 'bid-model'",
+        ),
     ],
     ids=[
         "missing-group_sizes", "compare-missing-group_sizes", "invalid-json",
         "string-n_bundles", "top-level-list", "unknown-bid_model", "string-size",
         "zero-size", "string-weight", "null-rate", "negative-rate",
         "compare-rate-above-1", "rates-sum-above-1", "int-builder", "float-range",
-        "inverted-range",
+        "inverted-range", "unknown-field", "compare-unknown-field",
     ],
 )
 def test_malformed_profile_is_a_located_usage_error(

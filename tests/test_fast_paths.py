@@ -297,11 +297,13 @@ def test_storage_key_order_repr_and_file_round_trip(tmp_path):
 
 
 def _quadratic_greedy(bundles, coinbase, bids, key_weight):
-    """Reference greedy: every round evaluates every remaining bundle
-    against every placed one."""
+    """Reference greedy: every round evaluates every remaining bundle in the
+    partial block's context. A bundle's predecessors are the placed bundles
+    that effectively write a key of its footprint, in placement order."""
     by_id = dict(bundles)
     remaining = sorted(by_id)
-    placed = []
+    writers = {}  # storage key -> placed ids whose effective writes hold it
+    position = {}  # placed id -> its index in the block
     block = []
     while remaining:
         best_id = None
@@ -309,7 +311,8 @@ def _quadratic_greedy(bundles, coinbase, bids, key_weight):
         best_key = 0.0
         for i in remaining:
             b = by_id[i]
-            preds = tuple(j for j, w in placed if w & b.footprint)
+            found = {j for k in b.footprint for j in writers.get(k, ())}
+            preds = tuple(sorted(found, key=position.__getitem__))
             fn = bids.get(i) if bids is not None else None
             value = evaluate_bid(b, ExecutionContext(preds, coinbase), fn)
             key = value / key_weight(b)
@@ -317,8 +320,10 @@ def _quadratic_greedy(bundles, coinbase, bids, key_weight):
                 best_id, best_bid, best_key = i, value, key
         if best_bid <= 0.0:
             break
+        position[best_id] = len(block)
         block.append(best_id)
-        placed.append((best_id, by_id[best_id].effective_writes(coinbase)))
+        for k in by_id[best_id].effective_writes(coinbase):
+            writers.setdefault(k, []).append(best_id)
         remaining.remove(best_id)
     return tuple(block)
 

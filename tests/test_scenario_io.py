@@ -83,6 +83,47 @@ def test_unknown_bid_variant_named(tmp_path):
         load_scenario(path)
 
 
+_CONSTANT = {"variant": "constant", "value": 1.0}
+
+
+@pytest.mark.parametrize(
+    "path, extra, location",
+    [
+        ((), "builder", "$"),
+        (("bundles", 1), "wieght", "bundles[1]"),
+        (("bundles", 1, "txs", 0), "nonce", "bundles[1].txs[0]"),
+        (("bundles", 1, "writes", 0), "kind", "bundles[1].writes[0]"),
+        (("bundles", 0, "bid"), "cap", "bundles[0].bid"),
+        (("bundles", 0, "valuation"), "amount", "bundles[0].valuation"),
+        (("bundles", 0, "valuation"), "target", "bundles[0].valuation"),
+        (("bundles", 1, "bid"), "gate", "bundles[1].bid"),
+        (("bundles", 1, "bid", "inner"), "amount", "bundles[1].bid.inner"),
+        (("builders", 0), "label", "builders[0]"),
+    ],
+    ids=[
+        "top-level", "bundle", "tx", "storage-key", "table-bid", "constant-bid",
+        "constant-bid-with-gated-field", "gated-bid", "gated-inner", "builder",
+    ],
+)
+def test_unknown_field_is_refused_where_it_stands(tmp_path, path, extra, location):
+    record = scenario_to_dict(example2_scenario())
+    record["builders"] = [{"name": "copy-default", "params": {}}]
+    record["bundles"][0]["valuation"] = dict(_CONSTANT)
+    record["bundles"][1]["bid"] = {
+        "variant": "gated", "target": "builder-0", "inner": dict(_CONSTANT)
+    }
+    scenario_from_dict(json.loads(json.dumps(record)))  # valid before the edit
+    node = record
+    for step in path:
+        node = node[step]
+    node[extra] = 1
+    file = tmp_path / "extra.json"
+    file.write_text(json.dumps(record))
+    with pytest.raises(ScenarioParseError) as info:
+        load_scenario(file)
+    assert str(info.value) == f"{location}: unknown field '{extra}'"
+
+
 def test_error_location_points_at_bundle(tmp_path):
     record = scenario_to_dict(example2_scenario())
     del record["bundles"][1]["txs"]

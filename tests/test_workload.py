@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from blockmech.conflict import get_conflict_groups
@@ -35,6 +37,36 @@ def test_generation_is_byte_deterministic():
         once = dumps_scenario(generate_scenario(profile, 77))
         twice = dumps_scenario(generate_scenario(profile, 77))
         assert once == twice
+
+
+# sha256 over dumps_scenario of seeds 0-49, recorded before the member
+# loop was folded into one: any moved RNG draw changes these.
+PINNED_DIGESTS = {
+    "no-conflict": "1b995245816d5d0e6c1e6702dee4b64240e7a431011e807622ef7db93ec476ec",
+    "full-conflict": "f6097723d244b752fa82f16eb5957c848c3b6c8d452c6ffc338f09e273e24624",
+    "realistic": "4e680516b16c9451da2827c4b0983f0374a376f1e89cfab5744372e0253b5bed",
+    "stress-large-groups": "7d81c25658d05e7391df137d4d0c1bc1725eb68c1a74b85581d702525fcb30b4",
+    "exclusive-mix": "5c953fee90163a740fc7aa888996fb4c52353d7078d52e2fc8d0feb30d780f15",
+}
+
+# No builtin profile stamps groups under exclusive plain bids.
+EXCLUSIVE_MIX = Profile(
+    name="exclusive-mix",
+    n_bundles=24,
+    group_sizes={1: 0.3, 2: 0.3, 3: 0.2, 5: 0.2},
+    shared_pivot_rate=0.3,
+    same_target_rate=0.3,
+    bid_model="exclusive",
+)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_generated_bytes_are_pinned(name):
+    profile = EXCLUSIVE_MIX if name == EXCLUSIVE_MIX.name else PROFILES[name]
+    digest = hashlib.sha256()
+    for seed in range(50):
+        digest.update(dumps_scenario(generate_scenario(profile, seed)).encode())
+    assert digest.hexdigest() == PINNED_DIGESTS[name]
 
 
 def test_different_seeds_differ():
