@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Mapping, Optional
 
 from .default_algo import block_building
 from .model import (
@@ -25,7 +24,7 @@ from .model import (
 from .oracle import DEFAULT_OMEGA_LIMIT, vcg_outcome
 
 
-def _greedy(bundles, coinbase, bids, key_weight) -> Block:
+def _greedy(bundles, coinbase, key_weight) -> Block:
     """Repeatedly append the remaining bundle with the largest value /
     key_weight in the partial block's context, the first in id order on
     ties, until that bundle's value is not positive.
@@ -61,8 +60,7 @@ def _greedy(bundles, coinbase, bids, key_weight) -> Block:
         b = by_id[i]
         for k in b.footprint:
             touching.setdefault(k, []).append(i)
-        fn = bids.get(i) if bids is not None else None
-        lookups[i] = _bid_lookup(b, coinbase, fn)
+        lookups[i] = _bid_lookup(b, coinbase)
         weights[i] = key_weight(b)
         preds[i] = []
         evaluate(i)
@@ -88,22 +86,18 @@ def _greedy(bundles, coinbase, bids, key_weight) -> Block:
     return tuple(block)
 
 
-def greedy_by_bid(
-    bundles, coinbase: CoinbaseLabel, bids: Optional[Mapping] = None
-) -> Block:
+def greedy_by_bid(bundles, coinbase: CoinbaseLabel) -> Block:
     """Append the highest-bidding remaining bundle (ties by id)."""
-    return _greedy(bundles, coinbase, bids, lambda b: 1.0)
+    return _greedy(bundles, coinbase, lambda b: 1.0)
 
 
-def greedy_by_density(
-    bundles, coinbase: CoinbaseLabel, bids: Optional[Mapping] = None
-) -> Block:
+def greedy_by_density(bundles, coinbase: CoinbaseLabel) -> Block:
     """Append the remaining bundle with the highest bid per unit weight."""
     by_id = as_bundle_map(bundles)
     for b in by_id.values():
         if b.weight <= 0:
             raise ValueError(f"bundle {b.id}: density ordering needs weight > 0")
-    return _greedy(bundles, coinbase, bids, lambda b: float(b.weight))
+    return _greedy(bundles, coinbase, lambda b: float(b.weight))
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ import enum
 import hashlib
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 from .conflict import ConflictGroup, get_conflict_groups
 from .model import (
@@ -143,17 +143,16 @@ def candidate_set(
 
 
 class _GroupEvaluator:
-    """The tables `_walk` reads for one bundle set under a fixed label and
-    bid profile.
+    """The tables `_walk` reads for one bundle set under a fixed label.
 
     Gates and gated bids are resolved once up front (`model._bid_lookup`),
     predecessor filtering works on precomputed bitmasks, and table lookups
     reuse interned id strings. Every contribution equals `model.block_bids`'s
-    under the same label and profile; the test suite pins the walk to a
-    `block_bids` scan.
+    under the same label; the test suite pins the walk to a `block_bids`
+    scan.
     """
 
-    def __init__(self, bundles: dict, coinbase: CoinbaseLabel, bids=None):
+    def __init__(self, bundles: dict, coinbase: CoinbaseLabel):
         self.ids = ids = sorted(bundles)
         self.idstr = [str(i) for i in ids]
         count = len(ids)
@@ -170,8 +169,7 @@ class _GroupEvaluator:
             for t, i in enumerate(ids)
         ]
         for t, i in enumerate(ids):
-            fn = bids.get(i) if bids else None
-            const, table, default = _bid_lookup(bundles[i], coinbase, fn)
+            const, table, default = _bid_lookup(bundles[i], coinbase)
             if const is None:
                 self.entries[t] = dict(table)  # plain dict: faster .get
                 self.default[t] = default
@@ -263,7 +261,6 @@ def _scan(
     bundles: dict,
     shortlist: list,
     coinbase: CoinbaseLabel,
-    bids: Optional[Mapping],
     counterfactuals: bool,
     transcript: Optional[list] = None,
 ) -> tuple:
@@ -276,7 +273,7 @@ def _scan(
     for block in shortlist:
         if transcript is not None:
             transcript.append(block)
-        values = block_bids(block, bundles, coinbase, bids)
+        values = block_bids(block, bundles, coinbase)
         total = 0.0
         for value in values.values():
             total += value
@@ -296,18 +293,17 @@ def _resolve(
     k_cutoff: int,
     seed: int,
     coinbase: CoinbaseLabel,
-    bids: Optional[Mapping],
     counterfactuals: bool,
     transcript: Optional[list] = None,
 ) -> tuple:
     by_id = as_bundle_map(bundles)
     strategy, pool, shortlist = _plan(group, by_id, k_cutoff, seed)
     if shortlist is None:
-        evaluator = _GroupEvaluator({i: by_id[i] for i in pool}, coinbase, bids)
+        evaluator = _GroupEvaluator({i: by_id[i] for i in pool}, coinbase)
         best, value, without = _walk(evaluator, counterfactuals, transcript)
     else:
         best, value, without = _scan(
-            pool, by_id, shortlist, coinbase, bids, counterfactuals, transcript
+            pool, by_id, shortlist, coinbase, counterfactuals, transcript
         )
     resolution = GroupResolution(group, strategy, best, value)
     if not counterfactuals:
@@ -324,7 +320,6 @@ def resolve_group(
     k_cutoff: int,
     seed: int,
     coinbase: CoinbaseLabel,
-    bids: Optional[Mapping] = None,
     transcript: Optional[list] = None,
 ) -> GroupResolution:
     """Exact argmax of the total bid over the group's candidate set, the
@@ -338,7 +333,7 @@ def resolve_group(
     bid independence is audited.
     """
     resolution, _ = _resolve(
-        group, bundles, k_cutoff, seed, coinbase, bids, False, transcript
+        group, bundles, k_cutoff, seed, coinbase, False, transcript
     )
     return resolution
 
@@ -349,7 +344,6 @@ def resolve_group_with_counterfactuals(
     k_cutoff: int,
     seed: int,
     coinbase: CoinbaseLabel,
-    bids: Optional[Mapping] = None,
 ) -> tuple:
     """Base resolution plus, per member, the argmax with that member's bid
     zeroed, all from one walk over the candidate set.
@@ -364,7 +358,7 @@ def resolve_group_with_counterfactuals(
     groups score their explicit candidates in list order. Returns
     (GroupResolution, {member id: (sub_block, value of others)}).
     """
-    return _resolve(group, bundles, k_cutoff, seed, coinbase, bids, True)
+    return _resolve(group, bundles, k_cutoff, seed, coinbase, True)
 
 
 def build_with_resolutions(
@@ -372,7 +366,6 @@ def build_with_resolutions(
     k_cutoff: int,
     seed: int,
     coinbase: CoinbaseLabel,
-    bids: Optional[Mapping] = None,
 ) -> tuple:
     """Resolve every group and concatenate the sub-blocks.
 
@@ -382,7 +375,7 @@ def build_with_resolutions(
     """
     by_id = as_bundle_map(bundles)
     resolutions = [
-        resolve_group(g, by_id, k_cutoff, seed, coinbase, bids)
+        resolve_group(g, by_id, k_cutoff, seed, coinbase)
         for g in get_conflict_groups(by_id)
     ]
     block = tuple(i for res in resolutions for i in res.sub_block)
@@ -394,9 +387,8 @@ def block_building(
     k_cutoff: int,
     seed: int,
     coinbase: CoinbaseLabel,
-    bids: Optional[Mapping] = None,
 ) -> Block:
-    block, _ = build_with_resolutions(bundles, k_cutoff, seed, coinbase, bids)
+    block, _ = build_with_resolutions(bundles, k_cutoff, seed, coinbase)
     return block
 
 
@@ -405,7 +397,6 @@ def counterfactual_blocks(
     k_cutoff: int,
     seed: int,
     coinbase: CoinbaseLabel,
-    bids: Optional[Mapping] = None,
 ) -> dict:
     """For each bundle i, the block built with i's bid forced to zero.
 
@@ -418,7 +409,7 @@ def counterfactual_blocks(
     """
     by_id = as_bundle_map(bundles)
     resolved = [
-        resolve_group_with_counterfactuals(g, by_id, k_cutoff, seed, coinbase, bids)
+        resolve_group_with_counterfactuals(g, by_id, k_cutoff, seed, coinbase)
         for g in get_conflict_groups(by_id)
     ]
     out = {}

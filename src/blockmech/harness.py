@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 
 from .baselines import compare_algorithms
 from .conflict import conflict_free_set, get_conflict_groups
-from .default_algo import block_building, resolve_group
-from .model import ConstantBid, Scenario, block_total_bid, one_time_label, ordered_map
+from .default_algo import block_building
+from .model import Scenario, block_total_bid, one_time_label, ordered_map
 from .mechanism import run_mechanism
 from .oracle import vcg_outcome
 from .strategies import (
@@ -195,37 +195,6 @@ def verify_integration(n: int, seed: int, threads: int = 1) -> HarnessResult:
     return HarnessResult(
         "integration", len(games), _failures(check, games, threads), {}
     )
-
-
-def verify_candidate_independence(n: int, seed: int) -> HarnessResult:
-    """The enumeration transcript a group resolution consumes is identical
-    under two unrelated bid profiles."""
-    failures = []
-    for i in range(n):
-        profile = PROFILES["realistic" if i % 2 == 0 else "stress-large-groups"]
-        scenario = generate_scenario(profile, _subseed(seed, i))
-        bundles = scenario.bundle_map()
-        coinbase = one_time_label(scenario.seed)
-        rng = random.Random(_subseed(seed, i) ^ 0xCA9D)
-        profile_a = {j: ConstantBid(float(rng.randint(0, 500))) for j in bundles}
-        profile_b = {j: ConstantBid(float(rng.randint(0, 500))) for j in bundles}
-        for group in get_conflict_groups(bundles):
-            seen_a: list = []
-            seen_b: list = []
-            resolve_group(
-                group, bundles, scenario.k_cutoff, scenario.seed, coinbase,
-                bids=profile_a, transcript=seen_a,
-            )
-            resolve_group(
-                group, bundles, scenario.k_cutoff, scenario.seed, coinbase,
-                bids=profile_b, transcript=seen_b,
-            )
-            if seen_a != seen_b:
-                failures.append(
-                    f"scenario {i}: group {sorted(group.members)} enumerated "
-                    "different candidate sets under different bids"
-                )
-    return HarnessResult("candidate-independence", n, tuple(failures), {})
 
 
 def verify_oracle_equivalence(n: int, seed: int) -> HarnessResult:

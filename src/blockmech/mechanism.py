@@ -46,6 +46,7 @@ from .model import (
     builder_label,
     one_time_label,
     validate_builder_block,
+    with_bids,
 )
 
 
@@ -72,30 +73,31 @@ class BuilderAlgorithm:
     """A competing block producer.
 
     `produce` returns a candidate block over the given bundles plus the bid
-    the builder is willing to pay if its block is selected. Implementations
-    must be pure functions of their inputs.
+    the builder is willing to pay if its block is selected; each bundle's
+    bid is its `bid` field. Implementations must be pure functions of their
+    inputs.
     """
 
     name = "abstract"
 
-    def produce(self, bundles, bids, env: BuilderEnv) -> tuple:
+    def produce(self, bundles, env: BuilderEnv) -> tuple:
         raise NotImplementedError
 
 
-def _default_block(bundles, bids, env: BuilderEnv) -> Block:
+def _default_block(bundles, env: BuilderEnv) -> Block:
     if env.default_block is not None:
         return env.default_block
-    return block_building(bundles, env.k_cutoff, env.seed, env.label, bids)
+    return block_building(bundles, env.k_cutoff, env.seed, env.label)
 
 
-def _by_bid(bundles, bids, env) -> Block:
-    return greedy_by_bid(bundles, env.label, bids)
+def _by_bid(bundles, env) -> Block:
+    return greedy_by_bid(bundles, env.label)
 
 
 def _hash_extreme(pick):
     """Block rule: the bundle whose first tx hash is `pick` (min or max)."""
 
-    def block_rule(bundles, bids, env) -> Block:
+    def block_rule(bundles, env) -> Block:
         by_id = as_bundle_map(bundles)
         if not by_id:
             return ()
@@ -112,11 +114,11 @@ class _RegisteredBuilder(BuilderAlgorithm):
         self.name, self.block_rule = name, block_rule
         self.scale, self.fixed_bid = scale, fixed_bid
 
-    def produce(self, bundles, bids, env):
-        block = self.block_rule(bundles, bids, env)
+    def produce(self, bundles, env):
+        block = self.block_rule(bundles, env)
         if self.fixed_bid is not None:
             return block, self.fixed_bid
-        return block, block_total_bid(block, bundles, env.label, bids) * self.scale
+        return block, block_total_bid(block, bundles, env.label) * self.scale
 
 
 # Every rule runs under the builder's own label. `empty` and `half-default`
@@ -125,7 +127,7 @@ BUILDER_REGISTRY = {
     "copy-default": lambda params: _RegisteredBuilder("copy-default", _default_block),
     "greedy-bid": lambda params: _RegisteredBuilder("greedy-bid", _by_bid),
     "greedy-density": lambda params: _RegisteredBuilder(
-        "greedy-density", lambda b, bids, env: greedy_by_density(b, env.label, bids)
+        "greedy-density", lambda b, env: greedy_by_density(b, env.label)
     ),
     "empty": lambda params: _RegisteredBuilder("empty", lambda *_: (), fixed_bid=0.0),
     "half-default": lambda params: _RegisteredBuilder(
@@ -144,11 +146,16 @@ _BUILDER_PARAMS = {"constant-bid": ("bid",)}
 
 
 def instantiate_builders(specs: Sequence[BuilderSpec]) -> list:
+    """The line-up the specs name. An unknown name or an unread param is a
+    MechanismError that names the spec's position, as scenario and profile
+    files are checked with this at load."""
     out = []
     for n, spec in enumerate(specs):
         factory = BUILDER_REGISTRY.get(spec.name)
         if factory is None:
-            raise MechanismError(f"unknown builder algorithm '{spec.name}'")
+            raise MechanismError(
+                f"builders[{n}].name: unknown builder algorithm '{spec.name}'"
+            )
         params = dict(spec.params)
         for key in params:
             if key not in _BUILDER_PARAMS.get(spec.name, ()):
@@ -215,7 +222,6 @@ def refund_default(
     o_minus_i: Block,
     bundles,
     coinbase: CoinbaseLabel,
-    bids: Optional[Mapping] = None,
 ) -> float:
     """Refund fixed by the default run: total bid of the default block minus
     what the others collect in the counterfactual block built with i's bid
@@ -229,8 +235,8 @@ def refund_default(
             f"bundle {i} is not in the core set; conflict-free bundles are "
             "refunded their own bid, not through this rule"
         )
-    total = block_total_bid(o_star, by_id, coinbase, bids)
-    others = block_bids(o_minus_i, by_id, coinbase, bids)
+    total = block_total_bid(o_star, by_id, coinbase)
+    others = block_bids(o_minus_i, by_id, coinbase)
     others_total = sum(v for j, v in others.items() if j != i)
     return total - others_total
 
@@ -261,14 +267,11 @@ def _append_conflict_free(core_block: Block, free_ids, bundles) -> Block:
     return tuple(core_block) + tuple(tail)
 
 
-def _label_invariant(core: dict, bids: Optional[Mapping]) -> bool:
-    """True when no core bundle has a gate and no effective bid (override
-    or declared) is gated: then every label sees the same bids and writes."""
-    for i, b in core.items():
-        fn = bids.get(i) if bids is not None else None
-        if fn is None:
-            fn = b.bid
-        if b.gate is not None or isinstance(fn, GatedBid):
+def _label_invariant(core: dict) -> bool:
+    """True when no core bundle has a gate or a gated bid: then every label
+    sees the same bids and writes."""
+    for b in core.values():
+        if b.gate is not None or isinstance(b.bid, GatedBid):
             return False
     return True
 
@@ -288,7 +291,7 @@ class Prepared:
     reuse: Optional[Block]  # handed to builders when label-invariant
 
 
-def prepare(scenario: Scenario, bids: Optional[Mapping] = None) -> Prepared:
+def prepare(scenario: Scenario) -> Prepared:
     """The default pass: one pass over the core's conflict groups gives the
     default block and every refund. Groups are separable, so bundle i's
     refund is its group's best value minus what the other members collect
@@ -304,7 +307,7 @@ def prepare(scenario: Scenario, bids: Optional[Mapping] = None) -> Prepared:
     label0 = one_time_label(scenario.seed)
     resolved = [
         resolve_group_with_counterfactuals(
-            g, core, scenario.k_cutoff, scenario.seed, label0, bids
+            g, core, scenario.k_cutoff, scenario.seed, label0
         )
         for g in groups
         if len(g) > 1
@@ -320,13 +323,13 @@ def prepare(scenario: Scenario, bids: Optional[Mapping] = None) -> Prepared:
         conflict_free=free,
         core=core,
         default_block=o_star,
-        beta0=block_total_bid(o_star, core, label0, bids),
+        beta0=block_total_bid(o_star, core, label0),
         refunds={i: group_refunds[i] for i in core},
-        reuse=o_star if _label_invariant(core, bids) else None,
+        reuse=o_star if _label_invariant(core) else None,
     )
 
 
-def compete(prepared: Prepared, builders, bids: Optional[Mapping] = None) -> dict:
+def compete(prepared: Prepared, builders) -> dict:
     """Builder competition on the core, each builder under its own fixed
     label; `builders` None means the scenario's registry-named line-up. Returns
     {index: (block, bid, disqualified)}: a builder that raises, returns an
@@ -341,7 +344,7 @@ def compete(prepared: Prepared, builders, bids: Optional[Mapping] = None) -> dic
             builder_label(index), scenario.k_cutoff, scenario.seed, prepared.reuse
         )
         try:
-            block, beta = algo.produce(prepared.core, bids, env)
+            block, beta = algo.produce(prepared.core, env)
         except Exception:
             block, beta = (), None  # disqualified below
         block = tuple(block)
@@ -357,11 +360,9 @@ def compete(prepared: Prepared, builders, bids: Optional[Mapping] = None) -> dic
     return entries
 
 
-def settle(
-    prepared: Prepared, entries: Mapping, bids: Optional[Mapping] = None
-) -> MechanismOutcome:
+def settle(prepared: Prepared, entries: Mapping) -> MechanismOutcome:
     """The auction over `compete`'s entries, then the one ledger path.
-    `bids` must agree with `prepare`'s on every core bundle."""
+    Searchers are charged the bids stated in `prepared.scenario`."""
     by_id = prepared.scenario.bundle_map()
     free, o_star, beta0 = prepared.conflict_free, prepared.default_block, prepared.beta0
     beta_star, top = 0.0, None
@@ -386,7 +387,7 @@ def settle(
         winner, label = top, builder_label(top)
         core_block, reserve = entries[top][0], max(beta0, beta_prime)
     final = _append_conflict_free(core_block, free, by_id)
-    charges = block_bids(final, by_id, label, bids)
+    charges = block_bids(final, by_id, label)
     free_total = sum(charges.get(i, 0.0) for i in free)
     searcher_ledger = {
         i: LedgerEntry(
@@ -422,27 +423,26 @@ def settle(
 
 def run_mechanism(
     scenario: Scenario,
-    bids: Optional[Mapping] = None,
     builders: Optional[Sequence[BuilderAlgorithm]] = None,
 ) -> MechanismOutcome:
     """Execute the full mechanism on a scenario: `prepare`, `compete`, `settle`.
 
-    `bids` optionally overrides bundle bid functions by id (deviation sweeps);
+    Every searcher reports the `bid` of its bundle in the scenario; a
+    misreport is a scenario with that bid replaced (`model.with_bids`).
     `builders` optionally replaces the scenario's registry-named line-up."""
-    prepared = prepare(scenario, bids)
-    return settle(prepared, compete(prepared, builders, bids), bids)
+    prepared = prepare(scenario)
+    return settle(prepared, compete(prepared, builders))
 
 
-def searcher_utility(
-    i: int, outcome: MechanismOutcome, bundles, valuation=None
-) -> float:
-    """Realized value in the final block, minus the net payment."""
+def searcher_utility(i: int, outcome: MechanismOutcome, bundles) -> float:
+    """Bundle i's `valuation` in its final-block context, whatever it bid,
+    minus its net payment. A map in which i already bids its valuation is
+    read as it is, so a sweep builds that map once."""
     by_id = as_bundle_map(bundles)
-    if valuation is None:
-        valuation = by_id[i].valuation
-    values = block_bids(
-        outcome.final_block, by_id, outcome.final_coinbase, {i: valuation}
-    )
+    truth = by_id[i].valuation
+    if by_id[i].bid is not truth:
+        by_id = with_bids(by_id, {i: truth})
+    values = block_bids(outcome.final_block, by_id, outcome.final_coinbase)
     entry = outcome.searcher_ledger[i]
     return values.get(i, 0.0) - entry.charge + entry.refund
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
@@ -245,37 +245,37 @@ def as_bundle_map(bundles) -> dict:
     return {b.id: b for b in bundles}
 
 
-def evaluate_bid(
-    bundle: Bundle, ctx: ExecutionContext, fn: Optional[BidFunction] = None
-) -> float:
-    """Bundle's payment in the given context (0 when it no-ops).
+def with_bids(bundles, bids: Mapping[int, BidFunction]) -> dict:
+    """An id -> Bundle map in which each bundle named in `bids` states that
+    bid: how a misreport or a zeroed bid is stated. Every other field, and
+    every unlisted bundle object, is kept; an unknown id is refused."""
+    out = dict(as_bundle_map(bundles))
+    for i, fn in bids.items():
+        if i not in out:
+            raise ModelError(f"no bundle {i} to give a bid")
+        out[i] = replace(out[i], bid=fn)
+    return out
 
-    `fn` overrides the bundle's declared bid function; the bundle-level gate
-    applies either way.
-    """
+
+def evaluate_bid(bundle: Bundle, ctx: ExecutionContext) -> float:
+    """Bundle's payment in the given context (0 when it no-ops)."""
     if bundle.gate is not None and bundle.gate != ctx.coinbase:
         return 0.0
-    if fn is None:
-        fn = bundle.bid
-    return fn.evaluate(ctx)
+    return bundle.bid.evaluate(ctx)
 
 
-def _bid_lookup(
-    bundle: Bundle, coinbase: CoinbaseLabel, fn: Optional[BidFunction] = None
-) -> tuple:
+def _bid_lookup(bundle: Bundle, coinbase: CoinbaseLabel) -> tuple:
     """The bundle's bid under `coinbase` as (constant, table, default).
 
     The bundle gate and any `GatedBid` wrappers are resolved here, once. A
     constant payment (0.0 when a gate does not match) comes back as
     (value, None, 0.0); a table bid as (None, entries, default), to be read
     with `table.get(signature, default)`, which is what `evaluate_bid` pays
-    in a context with that predecessor signature. `fn` overrides the
-    declared bid as in `evaluate_bid`.
+    in a context with that predecessor signature.
     """
     if bundle.gate is not None and bundle.gate != coinbase:
         return 0.0, None, 0.0
-    if fn is None:
-        fn = bundle.bid
+    fn = bundle.bid
     while isinstance(fn, GatedBid):
         if fn.target != coinbase:
             return 0.0, None, 0.0
@@ -289,15 +289,14 @@ def block_bids(
     block: Block,
     bundles,
     coinbase: CoinbaseLabel,
-    bids: Optional[Mapping[int, BidFunction]] = None,
 ) -> dict:
     """Per-included-bundle bid values, evaluated in one pass over the block.
 
     A constant bid is read without looking at predecessors. A table bid's
     predecessors come from a per-key index of the effective writers placed
     so far, so the cost follows the conflicts an entry has, not the block
-    length. `bids` optionally overrides bid functions per bundle id; ids
-    absent from the override use their declared bid.
+    length. Each bundle pays by its own `bid`; a misreport is a bundle map
+    built by `with_bids`.
     """
     by_id = as_bundle_map(bundles)
     violation = validate_builder_block(block, by_id)
@@ -307,8 +306,7 @@ def block_bids(
     writers: dict = {}  # storage key -> positions of placed bundles writing it
     for position, i in enumerate(block):
         b = by_id[i]
-        fn = bids.get(i) if bids is not None else None
-        constant, table, default = _bid_lookup(b, coinbase, fn)
+        constant, table, default = _bid_lookup(b, coinbase)
         if constant is None:
             hits: set = set()
             for key in b.footprint:
@@ -328,10 +326,9 @@ def block_total_bid(
     block: Block,
     bundles,
     coinbase: CoinbaseLabel,
-    bids: Optional[Mapping[int, BidFunction]] = None,
 ) -> float:
     """Total bid of a block; bundles outside the block contribute 0."""
-    return sum(block_bids(block, bundles, coinbase, bids).values())
+    return sum(block_bids(block, bundles, coinbase).values())
 
 
 @dataclass(frozen=True)

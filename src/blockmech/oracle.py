@@ -21,7 +21,7 @@ refuses instances past the size cap rather than approximating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Iterator
 
 from .default_algo import _GroupEvaluator, _ordered_subsets, _walk
 from .model import Block, CoinbaseLabel, as_bundle_map, block_bids
@@ -61,7 +61,6 @@ def full_omega(bundles, limit: int = DEFAULT_OMEGA_LIMIT) -> Iterator[Block]:
 def vcg_outcome(
     bundles,
     coinbase: CoinbaseLabel,
-    bids: Optional[Mapping] = None,
     limit: int = DEFAULT_OMEGA_LIMIT,
 ) -> VcgOutcome:
     """Run the exact mechanism: winner, per-bundle charges and refunds, and
@@ -75,10 +74,10 @@ def vcg_outcome(
     by_id = as_bundle_map(bundles)
     ids = sorted(by_id)
     _check_size(len(ids), limit)
-    evaluator = _GroupEvaluator(by_id, coinbase, bids)
+    evaluator = _GroupEvaluator(by_id, coinbase)
     best_block, best_total, without = _walk(evaluator, True)
 
-    winner_values = block_bids(best_block, by_id, coinbase, bids)
+    winner_values = block_bids(best_block, by_id, coinbase)
     charges = {i: winner_values.get(i, 0.0) for i in ids}
     refunds = {i: best_total - without[i][1] for i in ids}
     proposer = sum(charges[i] - refunds[i] for i in ids)

@@ -220,6 +220,10 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(record) -> Scenario:
+    # The builder registry lives in `mechanism`, a layer above scenario
+    # files; it is imported at call time so this module's imports stay `model`.
+    from .mechanism import instantiate_builders
+
     _fields(record, "$", "bundles", "builders", "k_cutoff", "seed")
     bundles = [
         bundle_from_dict(rec, f"bundles[{n}]")
@@ -234,6 +238,7 @@ def scenario_from_dict(record) -> Scenario:
         for key, value in params.items():
             _number(value, f"{loc}.params.{key}")
         builders.append(BuilderSpec(name, dict(params)))
+    instantiate_builders(builders)
     return Scenario(
         bundles=tuple(bundles),
         builders=tuple(builders),

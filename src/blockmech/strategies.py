@@ -2,7 +2,9 @@
 
 Deviation sweeps are grid-based empirical comparisons over finite misreport
 grids, not proofs over the continuum of bid functions; the `verify` report
-says so in its `note` (see `cli.py`).
+says so in its `note` (see `cli.py`). A misreport is stated as a scenario
+whose subject bundle carries the misreported `bid` (`model.with_bids`);
+utilities are always taken against the bundle's `valuation`.
 The demos exhibit three known failure modes on self-contained fixtures: the
 collusion exploit against the alternative refund rule, the budget deficit a
 "fully ideal" mechanism would run, and refund inflation through bundle
@@ -35,6 +37,7 @@ from .model import (
     block_bids,
     block_total_bid,
     one_time_label,
+    with_bids,
 )
 
 ABS_TOLERANCE = 1e-9
@@ -91,18 +94,25 @@ def _verdict(subject: str, truthful: float, deviations: dict) -> DeviationReport
     )
 
 
+def _rebid(scenario: Scenario, i: int, bid_fn) -> Scenario:
+    """The scenario with bundle i reporting `bid_fn`."""
+    rebid = with_bids(scenario.bundles, {i: bid_fn})
+    return replace(scenario, bundles=tuple(rebid.values()))
+
+
 def searcher_deviation_sweep(scenario: Scenario, i: int) -> DeviationReport:
-    """Utility of bidding the true valuation versus every grid misreport.
+    """Utility of bidding the true valuation versus every grid misreport:
+    one mechanism run on a rebuilt scenario per reported bid function.
 
     Utilities are always computed against the true valuation; only the
     reported bid changes.
     """
-    bundles = scenario.bundle_map()
-    truth = bundles[i].valuation
+    truth = scenario.bundle_map()[i].valuation
+    valued = with_bids(scenario.bundles, {i: truth})
 
     def utility(bid_fn) -> float:
-        outcome = run_mechanism(scenario, bids={i: bid_fn})
-        return searcher_utility(i, outcome, bundles, valuation=truth)
+        outcome = run_mechanism(_rebid(scenario, i, bid_fn))
+        return searcher_utility(i, outcome, valued)
 
     truthful = utility(truth)
     deviations = {
@@ -159,16 +169,19 @@ def integration_game(scenario: Scenario, i: int, j: int) -> DeviationReport:
     )
 
     # The subject is conflict-free, so neither its bid nor its gate reaches
-    # the default pass or a builder: one prepare and compete per mode.
+    # the default pass or a builder: one prepare and compete per mode, and
+    # each report settles that prepare with the subject's bid replaced.
     table = {}
     modes = (("participate", participate), ("integrate", prepare(integrate)))
     for mode, prepared in modes:
         entries = compete(prepared, None)
+        valued = with_bids(prepared.scenario.bundles, {i: truth})
         for bid_label, bid_fn in [("truthful", truth)] + standard_bid_transforms(truth):
+            reported = replace(prepared, scenario=_rebid(prepared.scenario, i, bid_fn))
             for offset in INTEGRATION_OFFSET_GRID:
-                outcome = settle(prepared, _shifted(entries, j, offset), {i: bid_fn})
+                outcome = settle(reported, _shifted(entries, j, offset))
                 table[f"{mode}|bid={bid_label}|builder={offset:+g}"] = searcher_utility(
-                    i, outcome, prepared.scenario.bundle_map(), valuation=truth
+                    i, outcome, valued
                 ) + builder_utility(j, outcome)
     desired = table["participate|bid=truthful|builder=+0"]
     return _verdict(f"pair:{i},builder:{j}", desired, table)
@@ -210,6 +223,7 @@ def collusion_demo(scenario: Optional[Scenario] = None) -> CollusionReport:
         )
     core = [b for b in sorted(bundles) if b not in honest.conflict_free]
     subject = core[0]
+    valued = with_bids(bundles, {subject: bundles[subject].valuation})
     beta0 = honest.beta0
     honest_refund = honest.searcher_ledger[subject].refund
     honest_utility = searcher_utility(subject, honest, bundles)
@@ -240,12 +254,7 @@ def collusion_demo(scenario: Optional[Scenario] = None) -> CollusionReport:
             )
             for k in core
         }
-        realized = block_bids(
-            rigged.final_block,
-            bundles,
-            rigged.final_coinbase,
-            {subject: bundles[subject].valuation},
-        )
+        realized = block_bids(rigged.final_block, valued, rigged.final_coinbase)
         v_i = Fraction(realized.get(subject, 0.0))
         charge = Fraction(rigged.searcher_ledger[subject].charge)
         exploit_utility = v_i - charge + refunds2[subject]
@@ -305,11 +314,10 @@ def budget_deficit_demo(scenario: Optional[Scenario] = None) -> DeficitReport:
     actual = run_mechanism(scenario)
     refunds = {}
     for i in sorted(bundles):
+        zeroed = with_bids(bundles, {i: ZERO_BID})
         best_without = 0.0
         for index, entry in actual.builder_ledger.items():
-            value = block_total_bid(
-                entry.block, bundles, builder_label(index), {i: ZERO_BID}
-            )
+            value = block_total_bid(entry.block, zeroed, builder_label(index))
             best_without = max(best_without, value)
         refunds[i] = actual.beta_star - best_without
 

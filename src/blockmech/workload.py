@@ -102,7 +102,10 @@ PROFILES = {
 def load_profile(name_or_path: str) -> Profile:
     """Resolve a builtin profile name, or read a profile JSON file. A
     malformed file, or one with a field this does not read, is a
-    ScenarioParseError that names the field."""
+    ScenarioParseError that names the field; an unknown builder name is a
+    MechanismError that names its position."""
+    from .mechanism import instantiate_builders  # a layer above; see scenario_io
+
     if name_or_path in PROFILES:
         return PROFILES[name_or_path]
     if not Path(name_or_path).is_file():
@@ -141,7 +144,7 @@ def load_profile(name_or_path: str) -> Profile:
         raise ScenarioParseError("value_range", "expected [low, high]")
     low = _int(value_range[0], "value_range[0]", minimum=0)
     high = _int(value_range[1], "value_range[1]", minimum=low)
-    return Profile(
+    profile = Profile(
         name=_str(record.get("name", name_or_path), "name"),
         n_bundles=_int(_require(record, "n_bundles", "$"), "n_bundles", minimum=1),
         group_sizes=sizes,
@@ -153,6 +156,8 @@ def load_profile(name_or_path: str) -> Profile:
         ),
         value_range=(low, high),
     )
+    instantiate_builders([BuilderSpec(name) for name in profile.builders])
+    return profile
 
 
 def _plan_group_sizes(profile: Profile, rng: random.Random) -> list:

@@ -1,7 +1,10 @@
-"""Shared test helpers: terse bundle/scenario constructors and the
-reference for a bundle's execution context within a block."""
+"""Shared test helpers: terse bundle/scenario constructors, the
+reference for a bundle's execution context within a block, and the
+reference for restating bids."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
@@ -58,6 +61,22 @@ def make_scenario(*bundles, builders=(), k_cutoff=8, seed=0) -> Scenario:
     return Scenario(
         bundles=tuple(bundles), builders=tuple(builders), k_cutoff=k_cutoff, seed=seed
     )
+
+
+def rebid(bundles, bids) -> dict:
+    """Reference for `model.with_bids`: the id -> Bundle map with each
+    bundle named in `bids` rebuilt by `dataclasses.replace` to state that
+    bid. Reference routes state misreports through this, so that the
+    helper the fast routes use is checked, not trusted."""
+    out = dict(as_bundle_map(bundles))
+    for i, fn in (bids or {}).items():
+        out[i] = replace(out[i], bid=fn)
+    return out
+
+
+def rebid_scenario(scenario: Scenario, bids) -> Scenario:
+    """The scenario with `rebid` applied to its bundles."""
+    return replace(scenario, bundles=tuple(rebid(scenario.bundles, bids).values()))
 
 
 def canonical_context(block, subject: int, bundles, coinbase) -> ExecutionContext:

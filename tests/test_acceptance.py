@@ -8,30 +8,35 @@ its stated time budget, and prints one pass/fail line. Run with
 from __future__ import annotations
 
 import io
+import random
 import time
 from contextlib import redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 
 from blockmech.cli import main
+from blockmech.conflict import get_conflict_groups
+from blockmech.default_algo import resolve_group
 from blockmech.fixtures import FIXTURE_DIR, example2_scenario
 from blockmech.harness import (
+    HarnessResult,
+    _subseed,
     adoption_sweep,
     compare_sweep,
     verify_budget_and_refunds,
     verify_builder_dsic,
-    verify_candidate_independence,
     verify_integration,
     verify_oracle_equivalence,
     verify_searcher_dsic,
 )
-from blockmech.model import one_time_label
+from blockmech.model import ConstantBid, one_time_label
 from blockmech.oracle import vcg_outcome
 from blockmech.strategies import (
     BUILDER_OFFSET_GRID,
     budget_deficit_demo,
     collusion_demo,
 )
-from blockmech.workload import Profile
+from blockmech.workload import PROFILES, Profile, generate_scenario
 
 EXAMPLE2 = str(FIXTURE_DIR / "example2.json")
 
@@ -191,6 +196,43 @@ def test_criterion_09_adoption_equilibrium():
         60.0,
         f"counterexamples={len(result.failures)}",
     )
+
+
+def verify_candidate_independence(n: int, seed: int) -> HarnessResult:
+    """The enumeration transcript a group resolution consumes is identical
+    under two unrelated bid profiles."""
+    failures = []
+    for i in range(n):
+        profile = PROFILES["realistic" if i % 2 == 0 else "stress-large-groups"]
+        scenario = generate_scenario(profile, _subseed(seed, i))
+        bundles = scenario.bundle_map()
+        coinbase = one_time_label(scenario.seed)
+        rng = random.Random(_subseed(seed, i) ^ 0xCA9D)
+        profile_a = {
+            j: replace(b, bid=ConstantBid(float(rng.randint(0, 500))))
+            for j, b in bundles.items()
+        }
+        profile_b = {
+            j: replace(b, bid=ConstantBid(float(rng.randint(0, 500))))
+            for j, b in bundles.items()
+        }
+        for group in get_conflict_groups(bundles):
+            seen_a: list = []
+            seen_b: list = []
+            resolve_group(
+                group, profile_a, scenario.k_cutoff, scenario.seed, coinbase,
+                transcript=seen_a,
+            )
+            resolve_group(
+                group, profile_b, scenario.k_cutoff, scenario.seed, coinbase,
+                transcript=seen_b,
+            )
+            if seen_a != seen_b:
+                failures.append(
+                    f"scenario {i}: group {sorted(group.members)} enumerated "
+                    "different candidate sets under different bids"
+                )
+    return HarnessResult("candidate-independence", n, tuple(failures), {})
 
 
 def test_criterion_10_candidate_set_bid_independence():

@@ -434,6 +434,24 @@ def _constant_bid_builder(params):
             "mechanism",
             "builders[0].params: greedy-bid takes no param 'bid'",
         ),
+    ]
+    # Builder records are checked at load, so every command refuses them,
+    # not only the one that runs the builders.
+    + [
+        (
+            _set(("builders",), [{"name": "no-such-builder", "params": {"bidd": 1}}]),
+            command,
+            "builders[0].name: unknown builder algorithm 'no-such-builder'",
+        )
+        for command in ("build", "groups", "oracle", "compare", "mechanism")
+    ]
+    + [
+        (
+            _set(("builders",), [{"name": "greedy-bid", "params": {"bid": 1}}]),
+            command,
+            "builders[0].params: greedy-bid takes no param 'bid'",
+        )
+        for command in ("build", "groups", "oracle", "compare")
     ],
     ids=[
         "weight-0", "weight-NaN", "weight-past-float-range", "string-id", "string-seed", "txs-object",
@@ -442,7 +460,9 @@ def _constant_bid_builder(params):
         "object-slot", "int-gate", "list-gated-target", "int-builder-name",
         "negative-default", "negative-entry", "negative-value", "empty-txs",
         "unknown-bundle-field", "unread-constant-bid-param", "unread-greedy-bid-param",
-    ],
+    ]
+    + [f"unknown-builder-{c}" for c in ("build", "groups", "oracle", "compare", "mechanism")]
+    + [f"unread-greedy-bid-param-{c}" for c in ("build", "groups", "oracle", "compare")],
 )
 def test_malformed_scenario_field_is_a_located_usage_error(
     capsys, tmp_path, mutate, command, location
@@ -720,6 +740,16 @@ def test_compare_reruns_are_byte_identical(capsys, tmp_path, argv):
             "compare",
             "$: unknown field 'bid-model'",
         ),
+        (
+            '{"n_bundles": 4, "group_sizes": {"2": 1}, "builders": ["copy-default", "nope"]}',
+            "gen",
+            "builders[1].name: unknown builder algorithm 'nope'",
+        ),
+        (
+            '{"n_bundles": 4, "group_sizes": {"2": 1}, "builders": ["nope"]}',
+            "compare",
+            "builders[0].name: unknown builder algorithm 'nope'",
+        ),
     ],
     ids=[
         "missing-group_sizes", "compare-missing-group_sizes", "invalid-json",
@@ -727,6 +757,7 @@ def test_compare_reruns_are_byte_identical(capsys, tmp_path, argv):
         "zero-size", "string-weight", "null-rate", "negative-rate",
         "compare-rate-above-1", "rates-sum-above-1", "int-builder", "float-range",
         "inverted-range", "unknown-field", "compare-unknown-field",
+        "unknown-builder", "compare-unknown-builder",
     ],
 )
 def test_malformed_profile_is_a_located_usage_error(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from blockmech.conflict import ConflictGroup, get_conflict_groups
@@ -173,7 +175,7 @@ def test_counterfactual_blocks_example2(example2):
 def test_counterfactual_sole_bundle():
     lone = make_bundle(1, 42, writes={key("k")})
     counter = counterfactual_blocks({1: lone}, 8, 0, LABEL)
-    values = block_bids(counter[1], {1: lone}, LABEL, {1: ZERO_BID})
+    values = block_bids(counter[1], {1: replace(lone, bid=ZERO_BID)}, LABEL)
     assert sum(v for j, v in values.items() if j != 1) == 0
 
 
@@ -181,7 +183,9 @@ def _counterfactual_blocks_naive(bundles, k_cutoff, seed, coinbase) -> dict:
     """Reference for `counterfactual_blocks`: a full rebuild per zeroed
     bundle."""
     return {
-        i: block_building(bundles, k_cutoff, seed, coinbase, {i: ZERO_BID})
+        i: block_building(
+            {**bundles, i: replace(bundles[i], bid=ZERO_BID)}, k_cutoff, seed, coinbase
+        )
         for i in sorted(bundles)
     }
 
@@ -220,18 +224,20 @@ def test_candidate_sets_ignore_bids_transcript():
     scenario = generate_scenario(PROFILES["realistic"], 13)
     bundles = scenario.bundle_map()
     label = one_time_label(scenario.seed)
-    profile_a = {i: ConstantBid(float(i)) for i in bundles}
-    profile_b = {i: ConstantBid(float(1000 - i)) for i in bundles}
+    profile_a = {i: replace(b, bid=ConstantBid(float(i))) for i, b in bundles.items()}
+    profile_b = {
+        i: replace(b, bid=ConstantBid(float(1000 - i))) for i, b in bundles.items()
+    }
     for group in get_conflict_groups(bundles):
         seen_a: list = []
         seen_b: list = []
         resolve_group(
-            group, bundles, scenario.k_cutoff, scenario.seed, label,
-            bids=profile_a, transcript=seen_a,
+            group, profile_a, scenario.k_cutoff, scenario.seed, label,
+            transcript=seen_a,
         )
         resolve_group(
-            group, bundles, scenario.k_cutoff, scenario.seed, label,
-            bids=profile_b, transcript=seen_b,
+            group, profile_b, scenario.k_cutoff, scenario.seed, label,
+            transcript=seen_b,
         )
         assert seen_a == seen_b
 

@@ -68,12 +68,13 @@ from blockmech.model import (
     builder_label,
     evaluate_bid,
     one_time_label,
+    with_bids,
 )
 from blockmech.oracle import VcgOutcome, full_omega, vcg_outcome
 from blockmech.scenario_io import load_scenario, save_scenario
 from blockmech.workload import PROFILES, Profile, generate_scenario
 
-from conftest import key, make_bundle, make_scenario
+from conftest import key, make_bundle, make_scenario, rebid
 
 # The order-flow shape at 400 bundles: groups of 1-3, table bids, both
 # shortcuts present.
@@ -100,21 +101,26 @@ SCENARIOS = {
 }
 
 
+def _reporting(scenario, bids):
+    """The scenario with `bids` stated through `model.with_bids`."""
+    return replace(scenario, bundles=tuple(with_bids(scenario.bundles, bids).values()))
+
+
 def _reference_settlement(scenario, bids=None):
     """Default block, beta0 and refunds by the slow route: full
     counterfactual blocks and two block evaluations per core bundle."""
-    bundles = scenario.bundle_map()
+    bundles = rebid(scenario.bundle_map(), bids)
     label = one_time_label(scenario.seed)
     free = conflict_free_set(get_conflict_groups(bundles))
     core = {i: b for i, b in bundles.items() if i not in free}
-    o_star = block_building(core, scenario.k_cutoff, scenario.seed, label, bids)
+    o_star = block_building(core, scenario.k_cutoff, scenario.seed, label)
     counter = counterfactual_blocks(
-        core, scenario.k_cutoff, scenario.seed, label, bids
+        core, scenario.k_cutoff, scenario.seed, label
     )
     refunds = {
-        i: refund_default(i, o_star, counter[i], core, label, bids) for i in core
+        i: refund_default(i, o_star, counter[i], core, label) for i in core
     }
-    return o_star, block_total_bid(o_star, core, label, bids), refunds
+    return o_star, block_total_bid(o_star, core, label), refunds
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -139,7 +145,7 @@ def test_group_local_refunds_fractional_bids_within_tolerance():
     # The allowed gap is 1e-9 of the default block's value.
     scenario = generate_scenario(PROFILES["realistic"], 8)
     bids = {b.id: b.bid.scaled(0.1) for b in scenario.bundles}
-    outcome = run_mechanism(scenario, bids=bids)
+    outcome = run_mechanism(_reporting(scenario, bids))
     o_star, beta0, refunds = _reference_settlement(scenario, bids)
     assert outcome.default_block == o_star
     assert outcome.beta0 == beta0
@@ -156,13 +162,13 @@ def test_group_local_refunds_fractional_bids_within_tolerance():
 
 def _placed_scan_block_bids(block, bundles, coinbase, bids=None):
     """Reference: each entry checks every placed bundle's writes."""
+    bundles = rebid(bundles, bids)
     values = {}
     placed = []
     for i in block:
         b = bundles[i]
         preds = tuple(j for j, w in placed if w & b.footprint)
-        fn = bids.get(i) if bids is not None else None
-        values[i] = evaluate_bid(b, ExecutionContext(preds, coinbase), fn)
+        values[i] = evaluate_bid(b, ExecutionContext(preds, coinbase))
         placed.append((i, b.effective_writes(coinbase)))
     return values
 
@@ -209,8 +215,8 @@ def test_indexed_block_bids_equal_placed_scan(seed):
         for _ in range(40):
             block = tuple(rng.sample(ids, rng.randint(0, len(ids))))
             override = {ids[0]: ConstantBid(3.0), ids[1]: GatedBid(GATE, ConstantBid(5.0))}
-            for bids in (None, override):
-                fast = block_bids(block, bundles, label, bids)
+            for bids in ({}, override):
+                fast = block_bids(block, with_bids(bundles, bids), label)
                 slow = _placed_scan_block_bids(block, bundles, label, bids)
                 assert list(fast.items()) == list(slow.items())
 
@@ -235,8 +241,8 @@ def test_indexed_block_bids_with_nested_gates_and_constant_bids():
     for label in (GATE, other, builder_label(2)):
         for _ in range(40):
             block = tuple(rng.sample(ids, rng.randint(0, len(ids))))
-            for bids in (None, override):
-                fast = block_bids(block, bundles, label, bids)
+            for bids in ({}, override):
+                fast = block_bids(block, with_bids(bundles, bids), label)
                 slow = _placed_scan_block_bids(block, bundles, label, bids)
                 assert list(fast.items()) == list(slow.items())
 
@@ -300,7 +306,7 @@ def _quadratic_greedy(bundles, coinbase, bids, key_weight):
     """Reference greedy: every round evaluates every remaining bundle in the
     partial block's context. A bundle's predecessors are the placed bundles
     that effectively write a key of its footprint, in placement order."""
-    by_id = dict(bundles)
+    by_id = rebid(bundles, bids)
     remaining = sorted(by_id)
     writers = {}  # storage key -> placed ids whose effective writes hold it
     position = {}  # placed id -> its index in the block
@@ -313,8 +319,7 @@ def _quadratic_greedy(bundles, coinbase, bids, key_weight):
             b = by_id[i]
             found = {j for k in b.footprint for j in writers.get(k, ())}
             preds = tuple(sorted(found, key=position.__getitem__))
-            fn = bids.get(i) if bids is not None else None
-            value = evaluate_bid(b, ExecutionContext(preds, coinbase), fn)
+            value = evaluate_bid(b, ExecutionContext(preds, coinbase))
             key = value / key_weight(b)
             if best_id is None or key > best_key:
                 best_id, best_bid, best_key = i, value, key
@@ -329,10 +334,11 @@ def _quadratic_greedy(bundles, coinbase, bids, key_weight):
 
 
 def _assert_greedies_match(bundles, label, bids=None):
-    assert greedy_by_bid(bundles, label, bids) == _quadratic_greedy(
+    reported = with_bids(bundles, bids or {})
+    assert greedy_by_bid(reported, label) == _quadratic_greedy(
         bundles, label, bids, lambda b: 1.0
     )
-    assert greedy_by_density(bundles, label, bids) == _quadratic_greedy(
+    assert greedy_by_density(reported, label) == _quadratic_greedy(
         bundles, label, bids, lambda b: float(b.weight)
     )
 
@@ -411,7 +417,7 @@ def test_heap_greedies_equal_quadratic_reference_on_ties():
     bids = {i: ZERO_BID for i in ids[::9]}
     bids.update({i: GatedBid(GATE, ConstantBid(3.0)) for i in ids[4::11]})
     for label in (GATE, builder_label(1)):  # gate matches, gate does not
-        assert len(greedy_by_bid(bundles, label, bids)) > 30
+        assert len(greedy_by_bid(with_bids(bundles, bids), label)) > 30
         _assert_greedies_match(bundles, label, bids)
 
 
@@ -431,16 +437,16 @@ class _RebuildDefault(BuilderAlgorithm):
     def __init__(self, divisor: float):
         self.divisor = divisor
 
-    def produce(self, bundles, bids, env):
-        block = block_building(bundles, env.k_cutoff, env.seed, env.label, bids)
-        return block, block_total_bid(block, bundles, env.label, bids) / self.divisor
+    def produce(self, bundles, env):
+        block = block_building(bundles, env.k_cutoff, env.seed, env.label)
+        return block, block_total_bid(block, bundles, env.label) / self.divisor
 
 
 class _EnvSpy(BuilderAlgorithm):
     def __init__(self):
         self.envs = []
 
-    def produce(self, bundles, bids, env):
+    def produce(self, bundles, env):
         self.envs.append(env)
         return (), 0.0
 
@@ -471,9 +477,9 @@ def _gate(scenario, bundle_id: int, label):
     )
 
 
-def _offered_default(scenario, bids=None):
+def _offered_default(scenario):
     spy = _EnvSpy()
-    outcome = run_mechanism(scenario, bids=bids, builders=[spy])
+    outcome = run_mechanism(scenario, builders=[spy])
     return spy.envs[0].default_block, outcome
 
 
@@ -481,7 +487,7 @@ def test_default_block_is_offered_only_when_label_invariant():
     offered, outcome = _offered_default(example2_scenario())
     assert offered == outcome.default_block == (2, 1)
     gated_bid = {1: GatedBid(GATE, ConstantBid(1.0))}
-    assert _offered_default(example2_scenario(), gated_bid)[0] is None
+    assert _offered_default(_reporting(example2_scenario(), gated_bid))[0] is None
 
     # The integration fixture with a gated core bundle: reuse must not
     # apply, and the builders rebuild under their own labels.
@@ -504,11 +510,13 @@ def test_gated_override_runs_match_rebuild():
     scenario = generate_scenario(PROFILES["realistic"], 11)
     free = conflict_free_set(get_conflict_groups(scenario.bundles))
     first = min(b.id for b in scenario.bundles if b.id not in free)
-    bids = {first: GatedBid(builder_label(0), ConstantBid(500.0))}
-    assert _offered_default(scenario, bids)[0] is None
+    scenario = _reporting(
+        scenario, {first: GatedBid(builder_label(0), ConstantBid(500.0))}
+    )
+    assert _offered_default(scenario)[0] is None
     reusing, rebuilding = _lineups()
-    assert run_mechanism(scenario, bids=bids, builders=reusing) == run_mechanism(
-        scenario, bids=bids, builders=rebuilding
+    assert run_mechanism(scenario, builders=reusing) == run_mechanism(
+        scenario, builders=rebuilding
     )
 
 
@@ -520,13 +528,14 @@ def _scan_reference(group, bundles, k_cutoff, seed, coinbase, bids=None):
     scratch by `block_bids`, summed left to right, in canonical order; the
     first maximizer kept for the base objective and for each member's
     objective with its bid zeroed."""
-    group_bundles = {i: bundles[i] for i in group.members}
+    reported = rebid(bundles, bids)
+    group_bundles = {i: reported[i] for i in group.members}
     members = group.sorted_members()
     best, best_value = None, 0.0
     without_block = {i: None for i in members}
     without_value = {i: 0.0 for i in members}
     for block in candidate_set(group, group_bundles, k_cutoff, seed):
-        values = block_bids(block, group_bundles, coinbase, bids)
+        values = block_bids(block, group_bundles, coinbase)
         total = 0.0
         for value in values.values():
             total += value
@@ -542,11 +551,12 @@ def _scan_reference(group, bundles, k_cutoff, seed, coinbase, bids=None):
 
 def _oracle_reference(bundles, coinbase, bids=None) -> VcgOutcome:
     """Reference oracle: `block_bids` on every block of `full_omega`."""
+    bundles = rebid(bundles, bids)
     ids = sorted(bundles)
     best_block, best_total = None, 0.0
     best_without = {i: 0.0 for i in ids}
     for block in full_omega(bundles):
-        values = block_bids(block, bundles, coinbase, bids)
+        values = block_bids(block, bundles, coinbase)
         total = sum(values.values(), 0.0)  # a float for the empty block too
         if best_block is None or total > best_total:
             best_block, best_total = block, total
@@ -554,7 +564,7 @@ def _oracle_reference(bundles, coinbase, bids=None) -> VcgOutcome:
             without = total - values.get(i, 0.0)
             if without > best_without[i]:
                 best_without[i] = without
-    winner_values = block_bids(best_block, bundles, coinbase, bids)
+    winner_values = block_bids(best_block, bundles, coinbase)
     charges = {i: winner_values.get(i, 0.0) for i in ids}
     refunds = {i: best_total - best_without[i] for i in ids}
     proposer = sum(charges[i] - refunds[i] for i in ids)
@@ -641,7 +651,7 @@ def _normal_form(block, commuting) -> tuple:
 
 
 def _assert_transcript_holds_normal_forms(
-    group, bundles, k_cutoff, seed, coinbase, bids, transcript
+    group, bundles, k_cutoff, seed, coinbase, transcript
 ):
     """The walk scores exactly the candidates in normal form, and every
     candidate's normal form is scored with the same bid for every bundle."""
@@ -658,18 +668,18 @@ def _assert_transcript_holds_normal_forms(
     for block in candidates:
         normal = _normal_form(block, commuting)
         assert normal in walked, block
-        assert block_bids(normal, bundles, coinbase, bids) == block_bids(
-            block, bundles, coinbase, bids
+        assert block_bids(normal, bundles, coinbase) == block_bids(
+            block, bundles, coinbase
         ), block
 
 
-def _assert_exact_optimum(group, bundles, k_cutoff, seed, coinbase, bids, res, without):
+def _assert_exact_optimum(group, bundles, k_cutoff, seed, coinbase, res, without):
     """Each returned block attains, in exact arithmetic, the optimum of its
     objective over the full candidate set: the total bid, or the total
     with one member's bid zeroed. Each reported value is the walk's own
     left-to-right float total of the block it returns."""
     candidates = list(candidate_set(group, bundles, k_cutoff, seed))
-    floats = {b: block_bids(b, bundles, coinbase, bids) for b in candidates}
+    floats = {b: block_bids(b, bundles, coinbase) for b in candidates}
     exact = {b: {i: Fraction(v) for i, v in f.items()} for b, f in floats.items()}
 
     def objective(block, zeroed=None):
@@ -694,12 +704,13 @@ def test_walk_equals_per_candidate_scan(strategy, seed):
             (ref_block, ref_value), ref_without = _scan_reference(
                 group, bundles, k_cutoff, seed, label, bids
             )
+            reported = with_bids(bundles, bids or {})
             res, without = resolve_group_with_counterfactuals(
-                group, bundles, k_cutoff, seed, label, bids
+                group, reported, k_cutoff, seed, label
             )
             transcript = []
             base = resolve_group(
-                group, bundles, k_cutoff, seed, label, bids, transcript
+                group, reported, k_cutoff, seed, label, transcript
             )
             assert res.strategy is base.strategy is strategy
             assert _exact(base.sub_block, base.value) == _exact(
@@ -708,7 +719,7 @@ def test_walk_equals_per_candidate_scan(strategy, seed):
             if strategy in _WALKED and name == "fractional":
                 # 0.1-step bids: commuting orders round differently.
                 _assert_exact_optimum(
-                    group, bundles, k_cutoff, seed, label, bids, res, without
+                    group, rebid(bundles, bids), k_cutoff, seed, label, res, without
                 )
             else:
                 expected = _exact(ref_block, ref_value)
@@ -718,7 +729,7 @@ def test_walk_equals_per_candidate_scan(strategy, seed):
                 }, name
             if strategy in _WALKED:
                 _assert_transcript_holds_normal_forms(
-                    group, bundles, k_cutoff, seed, label, bids, transcript
+                    group, rebid(bundles, bids), k_cutoff, seed, label, transcript
                 )
             else:
                 assert transcript == list(
@@ -783,14 +794,14 @@ def test_walk_transcript_is_the_commuting_normal_forms(
     assert _plan(group, bundles, k_cutoff, seed)[0] is strategy
     for label in (GATE, builder_label(1)):  # gate matches, gate does not
         transcript = []
-        resolve_group(group, bundles, k_cutoff, seed, label, None, transcript)
+        resolve_group(group, bundles, k_cutoff, seed, label, transcript)
         _assert_transcript_holds_normal_forms(
-            group, bundles, k_cutoff, seed, label, None, transcript
+            group, bundles, k_cutoff, seed, label, transcript
         )
 
 
 def _assert_oracle_matches(bundles, label, bids):
-    fast = vcg_outcome(bundles, label, bids)
+    fast = vcg_outcome(with_bids(bundles, bids or {}), label)
     slow = _oracle_reference(bundles, label, bids)
     assert fast.winner == slow.winner
     for field in ("total_bid", "proposer_revenue"):

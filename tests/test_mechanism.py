@@ -41,7 +41,14 @@ from blockmech.model import (
 from blockmech.oracle import vcg_outcome
 from blockmech.workload import PROFILES, generate_scenario, with_builders
 
-from conftest import key, make_bundle, make_scenario
+from conftest import (
+    canonical_context,
+    key,
+    make_bundle,
+    make_scenario,
+    rebid,
+    rebid_scenario,
+)
 
 LABEL = CoinbaseLabel("test")
 
@@ -54,9 +61,9 @@ class _OverbidCopy(BuilderAlgorithm):
     def __init__(self, premium: float):
         self.premium = premium
 
-    def produce(self, bundles, bids, env):
-        block = block_building(bundles, env.k_cutoff, env.seed, env.label, bids)
-        return block, block_total_bid(block, bundles, env.label, bids) + self.premium
+    def produce(self, bundles, env):
+        block = block_building(bundles, env.k_cutoff, env.seed, env.label)
+        return block, block_total_bid(block, bundles, env.label) + self.premium
 
 
 def test_refund_default_example2(example2):
@@ -193,7 +200,7 @@ class _BrokenBuilder(BuilderAlgorithm):
     def __init__(self, mode: str):
         self.mode = mode
 
-    def produce(self, bundles, bids, env):
+    def produce(self, bundles, env):
         if self.mode == "foreign":
             return (999,), 10.0
         if self.mode == "duplicate":
@@ -267,6 +274,24 @@ def test_searcher_utility_values(example2):
     assert searcher_utility(2, outcome, bundles) == 50
 
 
+def test_searcher_utility_reads_the_valuation_whatever_the_map_bids(example2):
+    # Bundle 1 reports half its valuation; its utility is its valuation in
+    # the final context, from a map stating the report, the declared bid
+    # (an equal but distinct object) or the valuation itself.
+    truth = example2.bundle_map()[1].valuation
+    reported = rebid_scenario(example2, {1: truth.scaled(0.5)})
+    outcome = run_mechanism(reported)
+    ctx = canonical_context(
+        outcome.final_block, 1, reported.bundles, outcome.final_coinbase
+    )
+    entry = outcome.searcher_ledger[1]
+    assert entry.charge == truth.scaled(0.5).evaluate(ctx) < truth.evaluate(ctx)
+    expected = truth.evaluate(ctx) - entry.charge + entry.refund
+    valued = rebid(example2.bundles, {1: truth})
+    for bundles in (reported.bundle_map(), example2.bundle_map(), valued):
+        assert searcher_utility(1, outcome, bundles) == expected
+
+
 def test_conflict_free_truthful_utility_is_valuation():
     scenario = integration_fixture()
     outcome = run_mechanism(scenario)
@@ -298,6 +323,11 @@ def test_losing_builder_utility_zero(example2):
 def test_unknown_builder_name_rejected():
     with pytest.raises(MechanismError, match="unknown builder"):
         instantiate_builders((BuilderSpec("no-such-algorithm"),))
+    specs = (BuilderSpec("empty"), BuilderSpec("greedy-bid", {"bid": 1.0}))
+    with pytest.raises(MechanismError, match=r"^builders\[1\]\.params: "):
+        instantiate_builders(specs)
+    with pytest.raises(MechanismError, match=r"^builders\[1\]\.name: unknown builder"):
+        instantiate_builders(specs[:1] + (BuilderSpec("nope"),))
 
 
 def test_builder_prime_defaults_to_zero_with_single_builder(example2):
@@ -330,7 +360,7 @@ def test_budget_balance_and_nonnegative_refunds_random(index):
 # -- registry builders against a restatement of their rules ---------------
 
 
-def _reference_produce(name, params, bundles, bids, env):
+def _reference_produce(name, params, bundles, env):
     """What each registry name produces, spelled out one rule at a time:
     copy-default and half-default take the offered default block or rebuild
     it, the greedy names take their greedy block, hash-min/hash-max the
@@ -341,24 +371,24 @@ def _reference_produce(name, params, bundles, bids, env):
     def default():
         if env.default_block is not None:
             return env.default_block
-        return block_building(bundles, env.k_cutoff, env.seed, env.label, bids)
+        return block_building(bundles, env.k_cutoff, env.seed, env.label)
 
     def truthful(block):
-        return block, block_total_bid(block, bundles, env.label, bids)
+        return block, block_total_bid(block, bundles, env.label)
 
     if name == "copy-default":
         return truthful(default())
     if name == "half-default":
         block = default()
-        return block, block_total_bid(block, bundles, env.label, bids) / 2.0
+        return block, block_total_bid(block, bundles, env.label) / 2.0
     if name == "greedy-bid":
-        return truthful(greedy_by_bid(bundles, env.label, bids))
+        return truthful(greedy_by_bid(bundles, env.label))
     if name == "greedy-density":
-        return truthful(greedy_by_density(bundles, env.label, bids))
+        return truthful(greedy_by_density(bundles, env.label))
     if name == "empty":
         return (), 0.0
     if name == "constant-bid":
-        return greedy_by_bid(bundles, env.label, bids), float(params.get("bid", 0.0))
+        return greedy_by_bid(bundles, env.label), float(params.get("bid", 0.0))
     assert name in ("hash-min", "hash-max")
     by_id = dict(bundles)
     if not by_id:
@@ -370,20 +400,19 @@ def _reference_produce(name, params, bundles, bids, env):
 
 
 def _registry_inputs():
-    """(core, bids, default block) from the four fixtures, ten sweep-profile
+    """(core, default block) from the four fixtures, ten sweep-profile
     scenarios and an empty core; bids are the declared ones or every core
     bid scaled by a quarter."""
     scenarios = [
         example2_scenario(), deficit_scenario(), collusion_scenario(),
         integration_fixture(),
     ] + [generate_scenario(harness._SWEEP_PROFILE, seed) for seed in range(10)]
-    out = [({}, None, ())]
+    out = [({}, ())]
     for scenario in scenarios:
-        for bids in (None, "scaled"):
-            if bids == "scaled":
-                bids = {i: b.bid.scaled(0.25) for i, b in scenario.bundle_map().items()}
-            prepared = prepare(scenario, bids)
-            out.append((prepared.core, bids, prepared.default_block))
+        scaled = {i: b.bid.scaled(0.25) for i, b in scenario.bundle_map().items()}
+        for reported in (scenario, rebid_scenario(scenario, scaled)):
+            prepared = prepare(reported)
+            out.append((prepared.core, prepared.default_block))
     return out
 
 
@@ -402,13 +431,13 @@ def test_registry_builders_equal_their_rules(name, params):
     builder = instantiate_builders((BuilderSpec(name, params),))[0]
     assert builder.name == name
     checked = 0
-    for core, bids, default_block in _registry_inputs():
+    for core, default_block in _registry_inputs():
         # an offered block is taken as it is, even one a rebuild would not give
         for offered in (default_block, default_block[::-1], None):
             for index in (0, 2):
                 env = BuilderEnv(builder_label(index), 8, 5, offered)
-                block, bid = builder.produce(core, bids, env)
-                ref_block, ref_bid = _reference_produce(name, params, core, bids, env)
+                block, bid = builder.produce(core, env)
+                ref_block, ref_bid = _reference_produce(name, params, core, env)
                 assert tuple(block) == tuple(ref_block)
                 assert float(bid).hex() == float(ref_bid).hex()
                 checked += 1

@@ -21,6 +21,7 @@ from blockmech.model import (
     evaluate_bid,
     one_time_label,
     validate_builder_block,
+    with_bids,
 )
 
 from conftest import canonical_context, key, make_bundle
@@ -85,6 +86,25 @@ def test_block_bids_rejects_bad_blocks(example2):
     bundles = example2.bundle_map()
     with pytest.raises(ModelError):
         block_bids((1, 1), bundles, LABEL)
+
+
+def test_with_bids_replaces_only_the_listed_bids():
+    gate = CoinbaseLabel("g")
+    bundles = {
+        1: make_bundle(1, 7, reads={key("r")}, writes={key("w")}, gate=gate, valuation=9, weight=3),
+        2: make_bundle(2, 5, writes={key("w")}),
+    }
+    new_bid = TableBid({"": 4.0}, 1.0)
+    out = with_bids(bundles, {1: new_bid})
+    assert list(out) == [1, 2]
+    assert out[2] is bundles[2]
+    assert out[1].bid == new_bid
+    for field in ("id", "txs", "reads", "writes", "gate", "valuation", "footprint", "weight"):
+        assert getattr(out[1], field) == getattr(bundles[1], field), field
+    assert bundles[1].bid == ConstantBid(7.0)  # the input map is not changed
+    assert with_bids(tuple(bundles.values()), {})[1] is bundles[1]
+    with pytest.raises(ModelError, match="no bundle 99"):
+        with_bids(bundles, {99: ConstantBid(1.0)})
 
 
 def test_validate_builder_block():

@@ -6,7 +6,13 @@ import pytest
 
 from blockmech.conflict import conflict_free_set, get_conflict_groups
 from blockmech.default_algo import resolve_group_with_counterfactuals
-from blockmech.model import CoinbaseLabel, block_bids, exclusive_bid, one_time_label
+from blockmech.model import (
+    CoinbaseLabel,
+    block_bids,
+    exclusive_bid,
+    one_time_label,
+    with_bids,
+)
 from blockmech.oracle import OracleSizeError, full_omega, vcg_outcome
 from blockmech.workload import PROFILES, generate_scenario
 
@@ -71,10 +77,11 @@ def test_truthfulness_on_misreport_grid(example2, subject):
     bidding the true valuation."""
     bundles = example2.bundle_map()
     truth = bundles[subject].valuation
+    valued = with_bids(bundles, {subject: truth})
 
     def utility(bid_fn) -> float:
-        outcome = vcg_outcome(bundles, LABEL, bids={subject: bid_fn})
-        realized = block_bids(outcome.winner, bundles, LABEL, {subject: truth})
+        outcome = vcg_outcome(with_bids(bundles, {subject: bid_fn}), LABEL)
+        realized = block_bids(outcome.winner, valued, LABEL)
         return (
             realized.get(subject, 0.0)
             - outcome.charges[subject]
@@ -94,10 +101,11 @@ def test_three_bundle_truthfulness_grid():
     }
     for subject in bundles:
         truth = bundles[subject].valuation
+        valued = with_bids(bundles, {subject: truth})
 
         def utility(bid_fn) -> float:
-            outcome = vcg_outcome(bundles, LABEL, bids={subject: bid_fn})
-            realized = block_bids(outcome.winner, bundles, LABEL, {subject: truth})
+            outcome = vcg_outcome(with_bids(bundles, {subject: bid_fn}), LABEL)
+            realized = block_bids(outcome.winner, valued, LABEL)
             return (
                 realized.get(subject, 0.0)
                 - outcome.charges[subject]

@@ -79,9 +79,9 @@ def scenarios(draw):
 class _OverbidCopy(BuilderAlgorithm):
     name = "overbid-copy"
 
-    def produce(self, bundles, bids, env):
-        block = block_building(bundles, env.k_cutoff, env.seed, env.label, bids)
-        return block, block_total_bid(block, bundles, env.label, bids) + 3.0
+    def produce(self, bundles, env):
+        block = block_building(bundles, env.k_cutoff, env.seed, env.label)
+        return block, block_total_bid(block, bundles, env.label) + 3.0
 
 
 @given(scenario=scenarios())

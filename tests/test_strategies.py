@@ -44,7 +44,7 @@ from blockmech.strategies import (
 )
 from blockmech.workload import PROFILES, generate_scenario, with_builders
 
-from conftest import key, make_bundle, make_scenario
+from conftest import key, make_bundle, make_scenario, rebid_scenario
 
 
 def test_searcher_sweep_example2_is_dominant(example2):
@@ -73,9 +73,8 @@ class _PunishingBuilder(BuilderAlgorithm):
     def __init__(self, subject: int):
         self.subject = subject
 
-    def produce(self, bundles, bids, env):
-        fn = (bids or {}).get(self.subject, bundles[self.subject].bid)
-        head = fn.evaluate(ExecutionContext((), env.label))
+    def produce(self, bundles, env):
+        head = bundles[self.subject].bid.evaluate(ExecutionContext((), env.label))
         if head > 10:
             block = tuple(i for i in sorted(bundles) if i != self.subject)
         else:
@@ -98,8 +97,9 @@ def test_searcher_dominance_can_fail_under_winning_nonconforming_builder():
     builder = _PunishingBuilder(1)
 
     def utility(bid_fn):
-        outcome = run_mechanism(scenario, bids={1: bid_fn}, builders=[builder])
-        return searcher_utility(1, outcome, scenario.bundle_map(), valuation=truth)
+        reported = rebid_scenario(scenario, {1: bid_fn})
+        outcome = run_mechanism(reported, builders=[builder])
+        return searcher_utility(1, outcome, scenario.bundle_map())
 
     # overstating the bid inflates the phase-1 refund while the builder
     # excludes the bundle from the final block: a strict gain
@@ -344,8 +344,8 @@ class _OffsetBidBuilder(BuilderAlgorithm):
         self.offset = offset
         self.name = f"{inner.name}{offset:+g}"
 
-    def produce(self, bundles, bids, env):
-        block, beta = self.inner.produce(bundles, bids, env)
+    def produce(self, bundles, env):
+        block, beta = self.inner.produce(bundles, env)
         return block, max(0.0, beta + self.offset)
 
 
@@ -358,7 +358,7 @@ class _FixedBuilder(BuilderAlgorithm):
         self.block = block
         self.bid = bid
 
-    def produce(self, bundles, bids, env):
+    def produce(self, bundles, env):
         return self.block, self.bid
 
 
@@ -414,6 +414,26 @@ def test_builder_sweep_equals_literal_runs(profile_name):
     assert checked >= 3
 
 
+@pytest.mark.parametrize("profile_name", ["fixtures", "full-conflict", "sweep"])
+def test_searcher_sweep_equals_literal_runs(profile_name):
+    checked = 0
+    for scenario in _differential_scenarios(profile_name):
+        for i in sorted(scenario.bundle_map())[:2]:
+            report = searcher_deviation_sweep(scenario, i)
+            truth = scenario.bundle_map()[i].valuation
+
+            def literal(bid_fn):
+                outcome = run_mechanism(rebid_scenario(scenario, {i: bid_fn}))
+                return searcher_utility(i, outcome, scenario.bundle_map())
+
+            assert report.truthful_utility == literal(truth)
+            assert report.deviations == {
+                label: literal(fn) for label, fn in standard_bid_transforms(truth)
+            }
+            checked += 1
+    assert checked >= 3
+
+
 # full-conflict scenarios have no conflict-free bundle to integrate
 @pytest.mark.parametrize("profile_name", ["fixtures", "realistic", "sweep"])
 def test_integration_game_equals_literal_runs(profile_name):
@@ -444,9 +464,10 @@ def _literal_integration_table(scenario, i: int, j: int) -> list:
         for bid_label, bid_fn in [("truthful", truth)] + standard_bid_transforms(truth):
             for offset in INTEGRATION_OFFSET_GRID:
                 lineup = _shifted_lineup(scenario, j, offset)
-                outcome = run_mechanism(sc, bids={i: bid_fn}, builders=lineup)
+                reported = rebid_scenario(sc, {i: bid_fn})
+                outcome = run_mechanism(reported, builders=lineup)
                 utility = searcher_utility(
-                    i, outcome, sc.bundle_map(), valuation=truth
+                    i, outcome, sc.bundle_map()
                 ) + builder_utility(j, outcome)
                 cells.append((f"{mode}|bid={bid_label}|builder={offset:+g}", utility))
     return cells
