@@ -142,63 +142,47 @@ def candidate_set(
     yield from _ordered_subsets(pool) if shortlist is None else shortlist
 
 
-class _GroupEvaluator:
-    """The tables `_walk` reads for one bundle set under a fixed label.
-
-    Gates and gated bids are resolved once up front (`model._bid_lookup`),
-    predecessor filtering works on precomputed bitmasks, and table lookups
-    reuse interned id strings. Every contribution equals `model.block_bids`'s
-    under the same label; the test suite pins the walk to a `block_bids`
-    scan.
-    """
-
-    def __init__(self, bundles: dict, coinbase: CoinbaseLabel):
-        self.ids = ids = sorted(bundles)
-        self.idstr = [str(i) for i in ids]
-        count = len(ids)
-        self.const = [None] * count
-        self.entries = [None] * count
-        self.default = [0.0] * count
-        eff = [bundles[i].effective_writes(coinbase) for i in ids]
-        self.affects = [
-            sum(
-                1 << s
-                for s in range(count)
-                if s != t and eff[s] & bundles[i].footprint
-            )
-            for t, i in enumerate(ids)
-        ]
-        for t, i in enumerate(ids):
-            const, table, default = _bid_lookup(bundles[i], coinbase)
-            if const is None:
-                self.entries[t] = dict(table)  # plain dict: faster .get
-                self.default[t] = default
-            else:
-                self.const[t] = const
-
-
 def _walk(
-    evaluator: _GroupEvaluator,
+    bundles: dict,
+    coinbase: CoinbaseLabel,
     counterfactuals: bool,
     transcript: Optional[list] = None,
 ) -> tuple:
-    """Score the ordered subsets of the evaluator's bundles that hold no
-    commuting pair out of order, by a depth-first walk over their prefix
-    tree in id order. The module docstring says which orderings are skipped
-    and why the result is still the first maximizer in canonical order.
+    """Score the ordered subsets of `bundles` that hold no commuting pair
+    out of order, by a depth-first walk over their prefix tree in id order.
+    The module docstring says which orderings are skipped and why the result
+    is still the first maximizer in canonical order.
 
-    The skip masks come from `affects` alone, so the walked nodes do not
-    depend on bids; a skipped child prunes its whole subtree. Each node's
-    table signatures come from the placed path, built once per node.
-    `cur[q]` holds bundle q's contribution on the current path, 0.0 when q
-    is absent. A `transcript` receives the nodes in walk order. Returns
-    (block, value, {id: (block, value with its bid zeroed)}), the dict empty
-    without `counterfactuals`; each value is the left-to-right float total
-    of its block.
+    The tables are built once up front: gates and gated bids are resolved by
+    `model._bid_lookup`, predecessor filtering works on bitmasks (`affects`)
+    and table lookups reuse interned id strings. Every contribution equals
+    `model.block_bids`'s under `coinbase`; the test suite pins the walk to a
+    `block_bids` scan. The skip masks come from `affects` alone, so the
+    walked nodes do not depend on bids; a skipped child prunes its whole
+    subtree. Each node's table signatures come from the placed path, built
+    once per node. `cur[q]` holds bundle q's contribution on the current
+    path, 0.0 when q is absent. A `transcript` receives the nodes in walk
+    order. Returns (block, value, {id: (block, value with its bid zeroed)}),
+    the dict empty without `counterfactuals`; each value is the
+    left-to-right float total of its block.
     """
-    ids, const, entries = evaluator.ids, evaluator.const, evaluator.entries
-    default, affects, idstr = evaluator.default, evaluator.affects, evaluator.idstr
+    ids = sorted(bundles)
+    idstr = [str(i) for i in ids]
     n = len(ids)
+    const, entries, default = [None] * n, [None] * n, [0.0] * n
+    for t, i in enumerate(ids):
+        const[t], table, default[t] = _bid_lookup(bundles[i], coinbase)
+        if table is not None:
+            entries[t] = dict(table)  # plain dict: faster .get
+    eff = [bundles[i].effective_writes(coinbase) for i in ids]
+    affects = [
+        sum(
+            1 << s
+            for s in range(n)
+            if s != t and eff[s] & bundles[i].footprint
+        )
+        for t, i in enumerate(ids)
+    ]
     # indep[a]: the lower slots that commute with a, never placed directly
     # after it. `dep` holds the slots whose swap with a can change a
     # contribution, because one reads the other or a third slot reads both.
@@ -209,7 +193,7 @@ def _walk(
             if mask >> a & 1:
                 dep |= mask | 1 << r
         indep[a] = ~dep & ((1 << a) - 1)
-    path: list = []  # evaluator slots of the current node, in order
+    path: list = []  # slots of the current node, in order
     cur = [0.0] * n
     w_block = [()] * n
     w_value = [0.0] * n
@@ -299,8 +283,9 @@ def _resolve(
     by_id = as_bundle_map(bundles)
     strategy, pool, shortlist = _plan(group, by_id, k_cutoff, seed)
     if shortlist is None:
-        evaluator = _GroupEvaluator({i: by_id[i] for i in pool}, coinbase)
-        best, value, without = _walk(evaluator, counterfactuals, transcript)
+        best, value, without = _walk(
+            {i: by_id[i] for i in pool}, coinbase, counterfactuals, transcript
+        )
     else:
         best, value, without = _scan(
             pool, by_id, shortlist, coinbase, counterfactuals, transcript

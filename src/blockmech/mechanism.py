@@ -28,7 +28,7 @@ uses it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 from .baselines import greedy_by_bid, greedy_by_density
@@ -178,11 +178,14 @@ class LedgerEntry:
 
 @dataclass(frozen=True)
 class BuilderEntry:
-    payment: float
-    refund: float
+    """One builder's line: `compete` states its block and bid, and `settle`
+    fills in the winner's payment and refund."""
+
     block: Block
     bid: float
     disqualified: bool = False
+    payment: float = 0.0
+    refund: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -280,7 +283,8 @@ def _label_invariant(core: dict) -> bool:
 class Prepared:
     """What the default pass fixes before any builder runs. No builder's
     bid or block, nor any conflict-free bundle's bid or gate, can change
-    it: the default pass and every builder see only the core."""
+    it: the default pass and every builder see only the core. A sweep
+    settles one prepare with such a change stated in its `scenario`."""
 
     scenario: Scenario
     conflict_free: frozenset
@@ -288,7 +292,6 @@ class Prepared:
     default_block: Block
     beta0: float
     refunds: dict  # core bundle id -> refund, in id order
-    reuse: Optional[Block]  # handed to builders when label-invariant
 
 
 def prepare(scenario: Scenario) -> Prepared:
@@ -325,24 +328,23 @@ def prepare(scenario: Scenario) -> Prepared:
         default_block=o_star,
         beta0=block_total_bid(o_star, core, label0),
         refunds={i: group_refunds[i] for i in core},
-        reuse=o_star if _label_invariant(core) else None,
     )
 
 
 def compete(prepared: Prepared, builders) -> dict:
     """Builder competition on the core, each builder under its own fixed
     label; `builders` None means the scenario's registry-named line-up. Returns
-    {index: (block, bid, disqualified)}: a builder that raises, returns an
-    invalid block, or bids anything but a finite non-negative number is
-    disqualified with an empty block and a zero bid."""
+    {index: BuilderEntry}, none of them paid yet: a builder that raises,
+    returns an invalid block, or bids anything but a finite non-negative
+    number is disqualified with an empty block and a zero bid. When the core
+    is label-invariant, every builder is handed the default block."""
     scenario = prepared.scenario
     if builders is None:
         builders = instantiate_builders(scenario.builders)
+    reuse = prepared.default_block if _label_invariant(prepared.core) else None
     entries = {}
     for index, algo in enumerate(builders):
-        env = BuilderEnv(
-            builder_label(index), scenario.k_cutoff, scenario.seed, prepared.reuse
-        )
+        env = BuilderEnv(builder_label(index), scenario.k_cutoff, scenario.seed, reuse)
         try:
             block, beta = algo.produce(prepared.core, env)
         except Exception:
@@ -354,25 +356,23 @@ def compete(prepared: Prepared, builders) -> dict:
             or not math.isfinite(beta)
             or beta < 0
         ):
-            entries[index] = ((), 0.0, True)
+            entries[index] = BuilderEntry((), 0.0, True)
         else:
-            entries[index] = (block, float(beta), False)
+            entries[index] = BuilderEntry(block, float(beta))
     return entries
 
 
 def settle(prepared: Prepared, entries: Mapping) -> MechanismOutcome:
-    """The auction over `compete`'s entries, then the one ledger path.
-    Searchers are charged the bids stated in `prepared.scenario`."""
+    """The auction over `compete`'s entries, then the one ledger path: the
+    entries pass to the builder ledger as they are, except that the winner's
+    gains its payment and refund. Searchers are charged the bids stated in
+    `prepared.scenario`."""
     by_id = prepared.scenario.bundle_map()
     free, o_star, beta0 = prepared.conflict_free, prepared.default_block, prepared.beta0
-    beta_star, top = 0.0, None
-    for index, (_, beta, dq) in entries.items():
-        if not dq and (top is None or beta > beta_star):
-            beta_star, top = beta, index
-    beta_prime = max(
-        [0.0]
-        + [beta for index, (_, beta, dq) in entries.items() if not dq and index != top]
-    )
+    bids = {index: e.bid for index, e in entries.items() if not e.disqualified}
+    top = max(bids, key=bids.get, default=None)
+    beta_star = bids.pop(top, 0.0)
+    beta_prime = max([0.0, *bids.values()])
 
     # Second-price rule with the default block's value as the reserve; the
     # default wins ties. Searchers pay their bids in the final block (to the
@@ -385,7 +385,7 @@ def settle(prepared: Prepared, entries: Mapping) -> MechanismOutcome:
         winner, core_block, reserve = None, o_star, beta0
     else:
         winner, label = top, builder_label(top)
-        core_block, reserve = entries[top][0], max(beta0, beta_prime)
+        core_block, reserve = entries[top].block, max(beta0, beta_prime)
     final = _append_conflict_free(core_block, free, by_id)
     charges = block_bids(final, by_id, label)
     free_total = sum(charges.get(i, 0.0) for i in free)
@@ -396,16 +396,11 @@ def settle(prepared: Prepared, entries: Mapping) -> MechanismOutcome:
         )
         for i in by_id
     }
-    builder_ledger = {
-        index: BuilderEntry(
-            payment=beta + free_total if index == winner else 0.0,
-            refund=beta_star - reserve if index == winner else 0.0,
-            block=block,
-            bid=beta,
-            disqualified=dq,
+    builder_ledger = dict(entries)
+    if winner is not None:
+        builder_ledger[winner] = replace(
+            entries[winner], payment=beta_star + free_total, refund=beta_star - reserve
         )
-        for index, (block, beta, dq) in entries.items()
-    }
     return MechanismOutcome(
         final_block=final,
         final_coinbase=label,

@@ -212,22 +212,25 @@ class Scenario:
     def __post_init__(self):
         if self.k_cutoff < 1:
             raise ModelError(f"k_cutoff must be >= 1, got {self.k_cutoff}")
+        # Checked in input order, before sorting, so that a refusal names the
+        # offending record's position. The same tx hash may appear in several
+        # bundles (a shared victim tx), but it must always denote the same
+        # transaction.
+        ids: set = set()
+        seen: dict = {}
+        for n, b in enumerate(self.bundles):
+            if b.id in ids:
+                raise ModelError(f"bundles[{n}].id: duplicate bundle id {b.id}")
+            ids.add(b.id)
+            for t, tx in enumerate(b.txs):
+                if seen.setdefault(tx.tx_hash, tx.target) != tx.target:
+                    raise ModelError(
+                        f"bundles[{n}].txs[{t}].target: tx hash {tx.tx_hash} "
+                        "maps to conflicting targets"
+                    )
         object.__setattr__(
             self, "bundles", tuple(sorted(self.bundles, key=lambda b: b.id))
         )
-        ids = [b.id for b in self.bundles]
-        if len(set(ids)) != len(ids):
-            dup = next(i for i in ids if ids.count(i) > 1)
-            raise ModelError(f"duplicate bundle id {dup}")
-        # The same tx hash may appear in several bundles (a shared victim tx),
-        # but it must always denote the same transaction.
-        seen: dict = {}
-        for b in self.bundles:
-            for tx in b.txs:
-                if seen.setdefault(tx.tx_hash, tx.target) != tx.target:
-                    raise ModelError(
-                        f"tx hash {tx.tx_hash} maps to conflicting targets"
-                    )
 
     def bundle_map(self) -> dict:
         return {b.id: b for b in self.bundles}
@@ -299,9 +302,9 @@ def block_bids(
     built by `with_bids`.
     """
     by_id = as_bundle_map(bundles)
-    violation = validate_builder_block(block, by_id)
-    if violation is not None:
-        raise ModelError(str(violation))
+    refusal = validate_builder_block(block, by_id)
+    if refusal is not None:
+        raise ModelError(refusal)
     values: dict = {}
     writers: dict = {}  # storage key -> positions of placed bundles writing it
     for position, i in enumerate(block):
@@ -331,27 +334,16 @@ def block_total_bid(
     return sum(block_bids(block, bundles, coinbase).values())
 
 
-@dataclass(frozen=True)
-class BlockViolation:
-    kind: str  # "duplicate" | "foreign"
-    bundle_id: int
-
-    def __str__(self) -> str:
-        if self.kind == "duplicate":
-            return f"duplicate bundle id {self.bundle_id} in block"
-        return f"foreign bundle id {self.bundle_id} not in input set"
-
-
-def validate_builder_block(block: Block, bundles) -> Optional[BlockViolation]:
-    """A valid block is a duplicate-free subset of the input ids; returns the
-    first offending id otherwise."""
+def validate_builder_block(block: Block, bundles) -> Optional[str]:
+    """A valid block is a duplicate-free subset of the input ids; otherwise
+    the refusal, which names the first offending id."""
     known = as_bundle_map(bundles)
     seen = set()
     for i in block:
         if i in seen:
-            return BlockViolation("duplicate", i)
+            return f"duplicate bundle id {i} in block"
         if i not in known:
-            return BlockViolation("foreign", i)
+            return f"foreign bundle id {i} not in input set"
         seen.add(i)
     return None
 

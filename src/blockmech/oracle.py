@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .default_algo import _GroupEvaluator, _ordered_subsets, _walk
+from .default_algo import _ordered_subsets, _walk
 from .model import Block, CoinbaseLabel, as_bundle_map, block_bids
 
 DEFAULT_OMEGA_LIMIT = 8
@@ -74,8 +74,7 @@ def vcg_outcome(
     by_id = as_bundle_map(bundles)
     ids = sorted(by_id)
     _check_size(len(ids), limit)
-    evaluator = _GroupEvaluator(by_id, coinbase)
-    best_block, best_total, without = _walk(evaluator, True)
+    best_block, best_total, without = _walk(by_id, coinbase, True)
 
     winner_values = block_bids(best_block, by_id, coinbase)
     charges = {i: winner_values.get(i, 0.0) for i in ids}

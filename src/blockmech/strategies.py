@@ -20,6 +20,7 @@ from typing import Optional
 from .conflict import conflicts, get_conflict_groups
 from .fixtures import collusion_scenario, deficit_scenario, sybil_fixture
 from .mechanism import (
+    BuilderEntry,
     alternative_refund,
     builder_label,
     builder_utility,
@@ -126,10 +127,10 @@ def _shifted(entries: dict, j: int, offset: float) -> dict:
     zero) and its block kept; a disqualified entry stays as it is."""
     if j not in entries:
         raise ValueError(f"no builder at index {j}")
-    block, bid, dq = entries[j]
-    if dq or offset == 0.0:
+    entry = entries[j]
+    if entry.disqualified or offset == 0.0:
         return entries
-    return {**entries, j: (block, max(0.0, bid + offset), dq)}
+    return {**entries, j: replace(entry, bid=max(0.0, entry.bid + offset))}
 
 
 def builder_deviation_sweep(scenario: Scenario, j: int) -> DeviationReport:
@@ -158,8 +159,8 @@ def integration_game(scenario: Scenario, i: int, j: int) -> DeviationReport:
     on the pair's joint utility, and `deviations` holds every cell, the
     desired one included.
     """
-    participate = prepare(scenario)
-    if i not in participate.conflict_free:
+    prepared = prepare(scenario)
+    if i not in prepared.conflict_free:
         raise ValueError(f"bundle {i} is not conflict-free; the claim only covers S")
     bundles = scenario.bundle_map()
     truth = bundles[i].valuation
@@ -169,15 +170,15 @@ def integration_game(scenario: Scenario, i: int, j: int) -> DeviationReport:
     )
 
     # The subject is conflict-free, so neither its bid nor its gate reaches
-    # the default pass or a builder: one prepare and compete per mode, and
-    # each report settles that prepare with the subject's bid replaced.
+    # the default pass or a builder: one prepare and compete serve both
+    # modes, and each cell settles them with its mode's scenario and the
+    # subject's bid replaced.
+    entries = compete(prepared, None)
     table = {}
-    modes = (("participate", participate), ("integrate", prepare(integrate)))
-    for mode, prepared in modes:
-        entries = compete(prepared, None)
-        valued = with_bids(prepared.scenario.bundles, {i: truth})
+    for mode, stated in (("participate", scenario), ("integrate", integrate)):
+        valued = with_bids(stated.bundles, {i: truth})
         for bid_label, bid_fn in [("truthful", truth)] + standard_bid_transforms(truth):
-            reported = replace(prepared, scenario=_rebid(prepared.scenario, i, bid_fn))
+            reported = replace(prepared, scenario=_rebid(stated, i, bid_fn))
             for offset in INTEGRATION_OFFSET_GRID:
                 outcome = settle(reported, _shifted(entries, j, offset))
                 table[f"{mode}|bid={bid_label}|builder={offset:+g}"] = searcher_utility(
@@ -235,7 +236,7 @@ def collusion_demo(scenario: Optional[Scenario] = None) -> CollusionReport:
     for eps in COLLUSION_EPSILONS:
         bid = float(Fraction(beta0) + eps)
         rigged = settle(
-            prepared, {**entries, colluder: (honest.default_block, bid, False)}
+            prepared, {**entries, colluder: BuilderEntry(honest.default_block, bid)}
         )
         exploit_ok &= rigged.winning_builder == colluder
         # Deployed rule: phase-1 refunds ignore builder reports entirely.

@@ -165,13 +165,21 @@ def _plan_group_sizes(profile: Profile, rng: random.Random) -> list:
         return [profile.n_bundles]
     sizes = sorted(profile.group_sizes)
     weights = [profile.group_sizes[s] for s in sizes]
-    if any(w < 0 for w in weights) or sum(weights) <= 0:
-        raise GenerationError("group size weights must be non-negative, sum > 0")
+    # Each refusal names the profile field, as the profile loader's do.
+    negative = [s for s, w in zip(sizes, weights) if w < 0]
+    if negative or sum(weights) <= 0:
+        where = f'group_sizes["{negative[0]}"]' if negative else "group_sizes"
+        raise GenerationError(
+            f"{where}: group size weights must be non-negative, sum > 0"
+        )
     if min(sizes) < 1:
-        raise GenerationError(f"group size {min(sizes)} is below 1")
+        raise GenerationError(
+            f'group_sizes["{min(sizes)}"]: group size {min(sizes)} is below 1'
+        )
     if max(sizes) > profile.n_bundles:
         raise GenerationError(
-            f"group size {max(sizes)} exceeds n_bundles {profile.n_bundles}"
+            f'group_sizes["{max(sizes)}"]: group size {max(sizes)} exceeds '
+            f"n_bundles {profile.n_bundles}"
         )
     plan = []
     remaining = profile.n_bundles

@@ -434,6 +434,12 @@ def _constant_bid_builder(params):
             "mechanism",
             "builders[0].params: greedy-bid takes no param 'bid'",
         ),
+        (_set(("bundles", 1, "id"), 1), "mechanism", "bundles[1].id: duplicate bundle id 1"),
+        (
+            _set(("bundles", 1, "txs"), [{"hash": "0xa1", "target": "0xother"}]),
+            "build",
+            "bundles[1].txs[0].target: tx hash 0xa1 maps to conflicting targets",
+        ),
     ]
     # Builder records are checked at load, so every command refuses them,
     # not only the one that runs the builders.
@@ -460,6 +466,7 @@ def _constant_bid_builder(params):
         "object-slot", "int-gate", "list-gated-target", "int-builder-name",
         "negative-default", "negative-entry", "negative-value", "empty-txs",
         "unknown-bundle-field", "unread-constant-bid-param", "unread-greedy-bid-param",
+        "duplicate-id", "conflicting-tx-target",
     ]
     + [f"unknown-builder-{c}" for c in ("build", "groups", "oracle", "compare", "mechanism")]
     + [f"unread-greedy-bid-param-{c}" for c in ("build", "groups", "oracle", "compare")],
@@ -750,6 +757,21 @@ def test_compare_reruns_are_byte_identical(capsys, tmp_path, argv):
             "compare",
             "builders[0].name: unknown builder algorithm 'nope'",
         ),
+        (
+            '{"n_bundles": 4, "group_sizes": {"2": -1, "1": 2}}',
+            "gen",
+            'group_sizes["2"]: group size weights must be non-negative, sum > 0',
+        ),
+        (
+            '{"n_bundles": 4, "group_sizes": {"2": 0}}',
+            "compare",
+            "group_sizes: group size weights must be non-negative, sum > 0",
+        ),
+        (
+            '{"n_bundles": 4, "group_sizes": {"8": 1}}',
+            "gen",
+            'group_sizes["8"]: group size 8 exceeds n_bundles 4',
+        ),
     ],
     ids=[
         "missing-group_sizes", "compare-missing-group_sizes", "invalid-json",
@@ -757,7 +779,8 @@ def test_compare_reruns_are_byte_identical(capsys, tmp_path, argv):
         "zero-size", "string-weight", "null-rate", "negative-rate",
         "compare-rate-above-1", "rates-sum-above-1", "int-builder", "float-range",
         "inverted-range", "unknown-field", "compare-unknown-field",
-        "unknown-builder", "compare-unknown-builder",
+        "unknown-builder", "compare-unknown-builder", "negative-weight",
+        "compare-zero-weights", "size-above-n_bundles",
     ],
 )
 def test_malformed_profile_is_a_located_usage_error(

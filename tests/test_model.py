@@ -110,10 +110,10 @@ def test_with_bids_replaces_only_the_listed_bids():
 def test_validate_builder_block():
     bundles = {i: make_bundle(i, 1) for i in (1, 2, 3)}
     assert validate_builder_block((2, 1), bundles) is None
-    dup = validate_builder_block((1, 1), bundles)
-    assert dup.kind == "duplicate" and dup.bundle_id == 1
-    foreign = validate_builder_block((7,), bundles)
-    assert foreign.kind == "foreign" and foreign.bundle_id == 7
+    assert validate_builder_block((1, 1), bundles) == "duplicate bundle id 1 in block"
+    assert validate_builder_block((2, 7), bundles) == (
+        "foreign bundle id 7 not in input set"
+    )
 
 
 def test_bid_functions_reject_negative_values():

@@ -436,23 +436,34 @@ def test_searcher_sweep_equals_literal_runs(profile_name):
 
 # full-conflict scenarios have no conflict-free bundle to integrate
 @pytest.mark.parametrize("profile_name", ["fixtures", "realistic", "sweep"])
-def test_integration_game_equals_literal_runs(profile_name):
+def test_integration_game_equals_literal_runs(monkeypatch, profile_name):
     checked = 0
     for scenario in _differential_scenarios(profile_name):
         free = sorted(run_mechanism(scenario, builders=()).conflict_free)
         for j in range(len(scenario.builders)):
             for i in free[:2]:
-                report = integration_game(scenario, i, j)
-                assert list(report.deviations.items()) == _literal_integration_table(
-                    scenario, i, j
+                report, phases = _recorded_phases(
+                    monkeypatch, lambda: integration_game(scenario, i, j)
                 )
+                runs = _literal_integration_runs(scenario, i, j)
+                assert list(report.deviations) == [cell for cell, _, _ in runs]
+                assert list(report.deviations.values()) == [
+                    searcher_utility(i, outcome, stated) + builder_utility(j, outcome)
+                    for _, stated, outcome in runs
+                ]
+                # A conflict-free subject is refunded what it is charged, and a
+                # winning builder pays the tail's bids back, so no joint
+                # utility depends on the subject's bid: only the settled
+                # outcomes show that each misreport is applied.
+                assert phases["settle"] == [outcome for _, _, outcome in runs]
+                assert (len(phases["prepare"]), len(phases["compete"])) == (1, 1)
                 checked += 1
     assert checked >= 1
 
 
-def _literal_integration_table(scenario, i: int, j: int) -> list:
-    """(cell, joint utility) for every integration cell, one literal
-    `run_mechanism` call each."""
+def _literal_integration_runs(scenario, i: int, j: int) -> list:
+    """(cell, the mode's bundle map, outcome) for every integration cell, one
+    literal `run_mechanism` call each."""
     bundles = scenario.bundle_map()
     truth = bundles[i].valuation
     gated = replace(bundles[i], gate=builder_label(j))
@@ -466,26 +477,26 @@ def _literal_integration_table(scenario, i: int, j: int) -> list:
                 lineup = _shifted_lineup(scenario, j, offset)
                 reported = rebid_scenario(sc, {i: bid_fn})
                 outcome = run_mechanism(reported, builders=lineup)
-                utility = searcher_utility(
-                    i, outcome, sc.bundle_map()
-                ) + builder_utility(j, outcome)
-                cells.append((f"{mode}|bid={bid_label}|builder={offset:+g}", utility))
+                cell = f"{mode}|bid={bid_label}|builder={offset:+g}"
+                cells.append((cell, sc.bundle_map(), outcome))
     return cells
 
 
-def _settled_collusion_outcomes(monkeypatch, scenario) -> list:
-    """Every outcome `strategies.settle` returns during `collusion_demo`."""
-    settled = []
-    settle = strategies.settle
-
-    def recording(*args, **kwargs):
-        settled.append(settle(*args, **kwargs))
-        return settled[-1]
-
+def _recorded_phases(monkeypatch, call) -> tuple:
+    """`call()`'s result, and every result `strategies.prepare`, `compete`
+    and `settle` return during it, by phase, in call order."""
+    recorded = {}
     with monkeypatch.context() as patch:
-        patch.setattr(strategies, "settle", recording)
-        collusion_demo(scenario)
-    return settled
+        for name in ("prepare", "compete", "settle"):
+            results = recorded[name] = []
+
+            def recording(*args, phase=getattr(strategies, name), results=results):
+                results.append(phase(*args))
+                return results[-1]
+
+            patch.setattr(strategies, name, recording)
+        result = call()
+    return result, recorded
 
 
 def _literal_collusion_runs(scenario) -> list:
@@ -505,13 +516,13 @@ def test_collusion_rows_equal_literal_runs(monkeypatch, profile_name):
     checked = 0
     for scenario in _differential_scenarios(profile_name):
         try:
-            settled = _settled_collusion_outcomes(monkeypatch, scenario)
+            _, phases = _recorded_phases(monkeypatch, lambda: collusion_demo(scenario))
         except ValueError:  # a builder matches the default: no exploit to show
             honest = run_mechanism(scenario)
             assert honest.winning_builder is not None or honest.beta_star >= honest.beta0
             continue
         # the honest run, then one rigged run per epsilon (one row each)
-        assert settled == _literal_collusion_runs(scenario)
+        assert phases["settle"] == _literal_collusion_runs(scenario)
         checked += 1
     assert checked >= 1
 
