@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .baselines import compare_algorithms
 from .conflict import get_conflict_groups
-from .default_algo import DEFAULT_K_CUTOFF, build_with_resolutions, counterfactual_blocks
+from .default_algo import build_with_resolutions, counterfactual_blocks
 from .harness import (
     adoption_sweep,
     compare_sweep,
@@ -28,7 +28,9 @@ from .harness import (
     verify_searcher_dsic,
 )
 from .mechanism import MechanismError, run_mechanism
-from .model import ModelError, block_bids, block_total_bid, one_time_label
+from .model import (
+    DEFAULT_K_CUTOFF, ModelError, block_bids, block_total_bid, one_time_label,
+)
 from .oracle import DEFAULT_OMEGA_LIMIT, OracleSizeError, full_omega, vcg_outcome
 from .reports import dumps_report, render, report_payload, write_report
 from .scenario_io import ScenarioParseError, load_scenario, save_scenario
@@ -225,13 +227,7 @@ def _cmd_compare(args) -> int:
         raise UsageError("compare needs a scenario path or --gen <profile> --n <count>")
     _refuse_sweep_flags(args, "--gen", "n", "threads")
     report = compare_algorithms(_load_with_overrides(args))
-    body = {
-        "values": report.values,
-        "default_is_best": report.default_is_best,
-        "gap_absolute": report.gap_absolute,
-        "gap_relative": report.gap_relative,
-    }
-    _emit(args, "compare", body)
+    _emit(args, "compare", asdict(report))
     return 0
 
 
@@ -257,20 +253,15 @@ def _cmd_verify(args) -> int:
 def _cmd_demo(args) -> int:
     if args.demo == "collusion":
         report = collusion_demo()
-        body = asdict(report)
-        body["per_epsilon"] = body.pop("rows")
-        body["deployed_rule_unaffected"] = body.pop("eq1_unaffected")
-        ok = report.exploit_holds and report.eq1_unaffected
+        ok = report.exploit_holds and report.deployed_rule_unaffected
     elif args.demo == "deficit":
         report = budget_deficit_demo()
-        body = asdict(report)
         ok = report.hypothetical_deficit > 0 and report.actual_balanced
     else:
         report = sybil_demo()
-        body = asdict(report)
         ok = report.inflated
     kind = f"demo-{args.demo}"
-    _emit(args, kind, body, default_out=f"{kind}-report.json")
+    _emit(args, kind, asdict(report), default_out=f"{kind}-report.json")
     return 0 if ok else 1
 
 

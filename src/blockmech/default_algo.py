@@ -61,7 +61,6 @@ from typing import Iterator, Optional
 
 from .conflict import ConflictGroup, get_conflict_groups
 from .model import (
-    DEFAULT_K_CUTOFF,  # re-exported: the cutoff's home is `model`
     Block,
     CoinbaseLabel,
     _bid_lookup,

@@ -78,8 +78,6 @@ class BuilderAlgorithm:
     inputs.
     """
 
-    name = "abstract"
-
     def produce(self, bundles, env: BuilderEnv) -> tuple:
         raise NotImplementedError
 
@@ -108,11 +106,11 @@ def _hash_extreme(pick):
 
 class _RegisteredBuilder(BuilderAlgorithm):
     """A registry entry: the block its block rule returns, bid at the block's
-    total bid times `scale`, or at `fixed_bid` when that is set."""
+    total bid times `scale`, or at `fixed_bid` when that is set. The registry
+    key is its name."""
 
-    def __init__(self, name: str, block_rule, scale=1, fixed_bid=None):
-        self.name, self.block_rule = name, block_rule
-        self.scale, self.fixed_bid = scale, fixed_bid
+    def __init__(self, block_rule, scale=1, fixed_bid=None):
+        self.block_rule, self.scale, self.fixed_bid = block_rule, scale, fixed_bid
 
     def produce(self, bundles, env):
         block = self.block_rule(bundles, env)
@@ -124,20 +122,18 @@ class _RegisteredBuilder(BuilderAlgorithm):
 # Every rule runs under the builder's own label. `empty` and `half-default`
 # are dominated stubs: neither can ever outbid the default block.
 BUILDER_REGISTRY = {
-    "copy-default": lambda params: _RegisteredBuilder("copy-default", _default_block),
-    "greedy-bid": lambda params: _RegisteredBuilder("greedy-bid", _by_bid),
+    "copy-default": lambda params: _RegisteredBuilder(_default_block),
+    "greedy-bid": lambda params: _RegisteredBuilder(_by_bid),
     "greedy-density": lambda params: _RegisteredBuilder(
-        "greedy-density", lambda b, env: greedy_by_density(b, env.label)
+        lambda b, env: greedy_by_density(b, env.label)
     ),
-    "empty": lambda params: _RegisteredBuilder("empty", lambda *_: (), fixed_bid=0.0),
-    "half-default": lambda params: _RegisteredBuilder(
-        "half-default", _default_block, scale=0.5
-    ),
+    "empty": lambda params: _RegisteredBuilder(lambda *_: (), fixed_bid=0.0),
+    "half-default": lambda params: _RegisteredBuilder(_default_block, scale=0.5),
     "constant-bid": lambda params: _RegisteredBuilder(
-        "constant-bid", _by_bid, fixed_bid=float(params.get("bid", 0.0))
+        _by_bid, fixed_bid=float(params.get("bid", 0.0))
     ),
-    "hash-min": lambda params: _RegisteredBuilder("hash-min", _hash_extreme(min)),
-    "hash-max": lambda params: _RegisteredBuilder("hash-max", _hash_extreme(max)),
+    "hash-min": lambda params: _RegisteredBuilder(_hash_extreme(min)),
+    "hash-max": lambda params: _RegisteredBuilder(_hash_extreme(max)),
 }
 
 
@@ -335,9 +331,10 @@ def compete(prepared: Prepared, builders) -> dict:
     """Builder competition on the core, each builder under its own fixed
     label; `builders` None means the scenario's registry-named line-up. Returns
     {index: BuilderEntry}, none of them paid yet: a builder that raises,
-    returns an invalid block, or bids anything but a finite non-negative
-    number is disqualified with an empty block and a zero bid. When the core
-    is label-invariant, every builder is handed the default block."""
+    returns a malformed or invalid block, or bids anything but a finite
+    non-negative number is disqualified with an empty block and a zero bid.
+    When the core is label-invariant, every builder is handed the default
+    block."""
     scenario = prepared.scenario
     if builders is None:
         builders = instantiate_builders(scenario.builders)
@@ -347,18 +344,19 @@ def compete(prepared: Prepared, builders) -> dict:
         env = BuilderEnv(builder_label(index), scenario.k_cutoff, scenario.seed, reuse)
         try:
             block, beta = algo.produce(prepared.core, env)
-        except Exception:
-            block, beta = (), None  # disqualified below
-        block = tuple(block)
-        if (
-            validate_builder_block(block, prepared.core) is not None
-            or not isinstance(beta, (int, float))
-            or not math.isfinite(beta)
-            or beta < 0
-        ):
-            entries[index] = BuilderEntry((), 0.0, True)
-        else:
+            block = tuple(block)
+            valid = (
+                validate_builder_block(block, prepared.core) is None
+                and isinstance(beta, (int, float))
+                and math.isfinite(beta)
+                and beta >= 0
+            )
+        except Exception:  # a raising builder, or a block that is not a sequence of ids
+            valid = False
+        if valid:
             entries[index] = BuilderEntry(block, float(beta))
+        else:
+            entries[index] = BuilderEntry((), 0.0, True)
     return entries
 
 

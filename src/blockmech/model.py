@@ -237,14 +237,12 @@ class Scenario:
 
 
 def as_bundle_map(bundles) -> dict:
-    """Accept an iterable of bundles or an id->Bundle mapping.
+    """Accept an iterable of bundles or an id->Bundle dict.
 
-    An existing dict is returned as-is (callers treat it as read-only).
+    A dict is returned as-is (callers treat it as read-only).
     """
     if isinstance(bundles, dict):
         return bundles
-    if isinstance(bundles, Mapping):
-        return dict(bundles)
     return {b.id: b for b in bundles}
 
 

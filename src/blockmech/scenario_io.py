@@ -30,7 +30,6 @@ class ScenarioParseError(ValueError):
     """Malformed scenario file; the message carries the offending location."""
 
     def __init__(self, location: str, message: str):
-        self.location = location
         super().__init__(f"{location}: {message}")
 
 

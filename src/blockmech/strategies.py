@@ -56,7 +56,6 @@ ADOPTION_PARTITION_LIMIT = 6
 
 @dataclass(frozen=True)
 class DeviationReport:
-    subject: str
     truthful_utility: float
     best_deviation_utility: float
     dominant: bool
@@ -81,12 +80,11 @@ def standard_bid_transforms(fn) -> list:
     return out
 
 
-def _verdict(subject: str, truthful: float, deviations: dict) -> DeviationReport:
+def _verdict(truthful: float, deviations: dict) -> DeviationReport:
     """Truthful utility against the best grid deviation, within tolerance."""
     best = max(deviations.values(), default=truthful)
     dominant = truthful >= best - ABS_TOLERANCE
     return DeviationReport(
-        subject=subject,
         truthful_utility=truthful,
         best_deviation_utility=max(best, truthful),
         dominant=dominant,
@@ -119,7 +117,7 @@ def searcher_deviation_sweep(scenario: Scenario, i: int) -> DeviationReport:
     deviations = {
         label: utility(fn) for label, fn in standard_bid_transforms(truth)
     }
-    return _verdict(f"searcher:{i}", truthful, deviations)
+    return _verdict(truthful, deviations)
 
 
 def _shifted(entries: dict, j: int, offset: float) -> dict:
@@ -147,7 +145,7 @@ def builder_deviation_sweep(scenario: Scenario, j: int) -> DeviationReport:
     deviations = {
         f"offset:{o:+g}": utility(o) for o in BUILDER_OFFSET_GRID if o != 0.0
     }
-    return _verdict(f"builder:{j}", truthful, deviations)
+    return _verdict(truthful, deviations)
 
 
 def integration_game(scenario: Scenario, i: int, j: int) -> DeviationReport:
@@ -185,7 +183,7 @@ def integration_game(scenario: Scenario, i: int, j: int) -> DeviationReport:
                     i, outcome, valued
                 ) + builder_utility(j, outcome)
     desired = table["participate|bid=truthful|builder=+0"]
-    return _verdict(f"pair:{i},builder:{j}", desired, table)
+    return _verdict(desired, table)
 
 
 @dataclass(frozen=True)
@@ -195,9 +193,9 @@ class CollusionReport:
     honest_refund: float
     honest_utility: float
     honest_proposer: float
-    rows: tuple  # per-epsilon dicts
+    per_epsilon: tuple  # one dict per epsilon
     exploit_holds: bool
-    eq1_unaffected: bool
+    deployed_rule_unaffected: bool
 
 
 def collusion_demo(scenario: Optional[Scenario] = None) -> CollusionReport:
@@ -283,9 +281,9 @@ def collusion_demo(scenario: Optional[Scenario] = None) -> CollusionReport:
         honest_refund=honest_refund,
         honest_utility=honest_utility,
         honest_proposer=honest.proposer_revenue,
-        rows=tuple(rows),
+        per_epsilon=tuple(rows),
         exploit_holds=exploit_ok,
-        eq1_unaffected=eq1_ok,
+        deployed_rule_unaffected=eq1_ok,
     )
 
 
@@ -300,7 +298,7 @@ class DeficitReport:
     actual_balanced: bool
 
 
-def budget_deficit_demo(scenario: Optional[Scenario] = None) -> DeficitReport:
+def budget_deficit_demo() -> DeficitReport:
     """Why exact marginal refunds and second-price builder charging cannot
     coexist with budget balance.
 
@@ -309,8 +307,7 @@ def budget_deficit_demo(scenario: Optional[Scenario] = None) -> DeficitReport:
     each bundle its full marginal contribution across all algorithms; on
     the fixture it collects 1 and pays 99. The deployed run balances.
     """
-    if scenario is None:
-        scenario = deficit_scenario()
+    scenario = deficit_scenario()
     bundles = scenario.bundle_map()
     actual = run_mechanism(scenario)
     refunds = {}

@@ -1,0 +1,142 @@
+"""Report bytes pinned per CLI command: the case list, the recorder, and
+the regeneration script.
+
+Each case is one `blockmech` command. Its golden file under `tests/golden/`
+holds what the command printed on stdout and stderr, its exit code, and
+every file it left in its (otherwise empty) working directory: the `--out`
+report, a default-named report, or the scenario `gen` wrote.
+`tests/test_golden.py` reruns every case in-process and compares bytes.
+
+`{fixtures}` in an argument stands for the packaged fixture directory and
+`{inputs}` for `tests/golden/inputs/`, so no file records a machine's path.
+
+Rewrite the golden files only for a change that declares new report bytes,
+and list every rewritten file with it:
+
+    PYTHONPATH=src python tests/regen_golden.py            # every case
+    PYTHONPATH=src python tests/regen_golden.py NAME ...   # the named cases
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from blockmech.cli import main
+from blockmech.fixtures import FIXTURE_DIR
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+INPUTS = GOLDEN / "inputs"
+
+FIXTURE_NAMES = ("collusion", "deficit", "example2", "integration", "sybil", "sybil-split")
+
+
+def _cases() -> dict:
+    cases = {}
+    table = ("--out", "out.json")  # the table on stdout, the payload in a file
+    json_format = ("--format", "json")
+    for fixture in FIXTURE_NAMES:
+        path = f"{{fixtures}}/{fixture}.json"
+        for command in ("build", "mechanism", "oracle", "groups", "compare"):
+            cases[f"{command}-{fixture}"] = (command, path, *table)
+            cases[f"{command}-{fixture}-json"] = (command, path, *json_format)
+        cases[f"build-counterfactuals-{fixture}"] = (
+            "build", path, "--counterfactuals", *table
+        )
+    for prop in ("dsic-searcher", "dsic-builder", "integration"):
+        sweep = ("verify", prop, "--n", "50", "--seed", "1100")
+        cases[f"verify-{prop}"] = (*sweep, *table)
+        cases[f"verify-{prop}-json"] = (*sweep, *json_format)
+    for demo in ("collusion", "deficit", "sybil"):
+        cases[f"demo-{demo}"] = ("demo", demo, *table)
+        cases[f"demo-{demo}-json"] = ("demo", demo, *json_format)
+    compare_gen = ("compare", "--gen", "realistic", "--n", "20", "--seed", "1")
+    cases["compare-gen-realistic"] = (*compare_gen, *table)
+    cases["compare-gen-realistic-json"] = (*compare_gen, *json_format)
+    adoption = ("game", "adoption", "--n", "20", "--seed", "3")
+    cases["game-adoption-sweep"] = (*adoption, *table)
+    cases["game-adoption-sweep-json"] = (*adoption, *json_format)
+    for profile in ("no-conflict", "full-conflict", "realistic", "stress-large-groups"):
+        cases[f"gen-{profile}"] = ("gen", "--profile", profile, "--seed", "1", "--out", "out.json")
+    # Seeds 4 and 7 of this profile hold all four group strategies.
+    for seed in (4, 7):
+        path = f"{{inputs}}/stress-{seed}.json"
+        cases[f"build-stress-{seed}"] = ("build", path, *table)
+        cases[f"mechanism-stress-{seed}"] = ("mechanism", path, *table)
+        cases[f"build-counterfactuals-stress-{seed}-json"] = (
+            "build", path, "--counterfactuals", *json_format
+        )
+    # Seed 33 of the same profile ties two shortlist candidates of one
+    # group, so the first maximizer in list order decides the block.
+    tie = "{inputs}/stress-33.json"
+    cases["build-counterfactuals-stress-33-json"] = (
+        "build", tie, "--counterfactuals", *json_format
+    )
+    cases["mechanism-stress-33"] = ("mechanism", tie, *table)
+    # A line-up whose losing bid is not integral (half-default bids 236.5),
+    # so the tables render a float through `reports.fmt`.
+    half = "{inputs}/realistic-half-default.json"
+    cases["gen-realistic-half-default"] = (
+        "gen", "--profile", "{inputs}/realistic-half-default.profile.json",
+        "--seed", "0", "--out", "out.json",
+    )
+    cases["mechanism-realistic-half-default"] = ("mechanism", half, *table)
+    cases["mechanism-realistic-half-default-json"] = ("mechanism", half, *json_format)
+    cases["compare-realistic-half-default"] = ("compare", half, *table)
+    # Refusals that end in exit 2 and one line on stderr; tests/test_cli.py
+    # checks the usage errors.
+    cases["error-oracle-too-large"] = ("oracle", "{inputs}/stress-4.json")
+    cases["error-adoption-out-of-scope"] = ("game", "adoption", "{fixtures}/example2.json")
+    return cases
+
+
+CASES = _cases()
+
+
+def _section(title: str, text: str) -> str:
+    return f"[{title}: {len(text.encode())} bytes]\n{text}\n"
+
+
+def record(argv, workdir: Path) -> str:
+    """Run one case in `workdir` (empty) and render everything it produced."""
+    paths = {"{fixtures}": str(FIXTURE_DIR), "{inputs}": str(INPUTS)}
+    args = []
+    for arg in argv:
+        for mark, path in paths.items():
+            arg = arg.replace(mark, path)
+        args.append(arg)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(args)
+    finally:
+        os.chdir(home)
+    text = f"$ blockmech {' '.join(argv)}\n[exit code: {code}]\n"
+    text += _section("stdout", stdout.getvalue()) + _section("stderr", stderr.getvalue())
+    for path in sorted(Path(workdir).iterdir()):
+        text += _section(f"file {path.name}", path.read_bytes().decode())
+    return text
+
+
+def regenerate(names) -> None:
+    for name in names:
+        with tempfile.TemporaryDirectory() as workdir:
+            text = record(CASES[name], Path(workdir))
+        for path in (str(FIXTURE_DIR), str(INPUTS), workdir):
+            if path in text:
+                raise SystemExit(f"{name}: the output names the path {path}")
+        (GOLDEN / f"{name}.txt").write_bytes(text.encode())
+        print(f"wrote golden/{name}.txt")
+
+
+if __name__ == "__main__":
+    unknown = [name for name in sys.argv[1:] if name not in CASES]
+    if unknown:
+        raise SystemExit(f"unknown case(s): {', '.join(unknown)}")
+    regenerate(sys.argv[1:] or sorted(CASES))

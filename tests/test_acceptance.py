@@ -156,15 +156,15 @@ def test_criterion_07_collusion_exploit_exact():
     report = collusion_demo()
     epsilons = [Fraction(1, 10**6), Fraction(1, 10**3), Fraction(1)]
     ok = (
-        report.eq1_unaffected
+        report.deployed_rule_unaffected
         and report.exploit_holds
-        and [Fraction(r["epsilon"]) for r in report.rows] == epsilons
+        and [Fraction(r["epsilon"]) for r in report.per_epsilon] == epsilons
         and all(
             r["eq2_refund"] == report.beta0
             and r["exploit_utility"] == 100 - 100 + report.beta0
             and r["utility_gain"] > 0
             and r["eq1_refund"] == report.honest_refund
-            for r in report.rows
+            for r in report.per_epsilon
         )
     )
     elapsed = time.perf_counter() - t0

@@ -263,6 +263,13 @@ def test_compare_gen_refuses_k_cutoff(capsys):
     assert "--k-cutoff" in err and out == ""
 
 
+def test_compare_needs_a_scenario_or_gen(capsys):
+    code, out, err = run_cli(capsys, "compare")
+    assert code == 2
+    assert err == "error: compare needs a scenario path or --gen <profile> --n <count>\n"
+    assert out == ""
+
+
 def test_compare_gen_refuses_a_scenario_path(capsys, tmp_path):
     # The path is never read under --gen, so it must not be silently dropped.
     missing = str(tmp_path / "nonexistent.json")

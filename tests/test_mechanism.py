@@ -18,6 +18,7 @@ from blockmech.fixtures import (
 from blockmech.mechanism import (
     BUILDER_REGISTRY,
     BuilderAlgorithm,
+    BuilderEntry,
     BuilderEnv,
     MechanismError,
     alternative_refund,
@@ -216,6 +217,27 @@ def test_invalid_builders_are_disqualified_not_fatal(example2, mode):
     outcome = run_mechanism(example2, builders=[_BrokenBuilder(mode)])
     assert outcome.builder_ledger[0].disqualified
     assert outcome.builder_ledger[0].bid == 0
+    assert outcome.winning_builder is None
+    assert outcome.proposer_revenue == 30
+
+
+class _MalformedBlockBuilder(BuilderAlgorithm):
+    def __init__(self, block):
+        self.block = block
+
+    def produce(self, bundles, env):
+        return self.block, 1.0
+
+
+def test_malformed_blocks_are_disqualified_not_fatal(example2):
+    # `tuple(None)` raises, and so does validating a block that holds an
+    # unhashable id (a list): each must disqualify, not escape.
+    builders = [_MalformedBlockBuilder(None), _MalformedBlockBuilder([[1]])]
+    outcome = run_mechanism(example2, builders=builders)
+    assert outcome.builder_ledger == {
+        0: BuilderEntry((), 0.0, True),
+        1: BuilderEntry((), 0.0, True),
+    }
     assert outcome.winning_builder is None
     assert outcome.proposer_revenue == 30
 
@@ -429,7 +451,6 @@ _REGISTRY_CASES = [(name, {}) for name in sorted(BUILDER_REGISTRY)] + [
 )
 def test_registry_builders_equal_their_rules(name, params):
     builder = instantiate_builders((BuilderSpec(name, params),))[0]
-    assert builder.name == name
     checked = 0
     for core, default_block in _registry_inputs():
         # an offered block is taken as it is, even one a rebuild would not give

@@ -146,6 +146,13 @@ def test_table_bid_is_detached_from_the_callers_dict():
         fn.entries["1"] = 0.0
 
 
+def test_bundle_rejects_empty_txs_and_negative_weight():
+    with pytest.raises(ModelError, match=r"^bundle 3: txs must be non-empty$"):
+        make_bundle(3, 10, txs=())
+    with pytest.raises(ModelError, match=r"^bundle 3: negative weight$"):
+        make_bundle(3, 10, weight=-1)
+
+
 def test_scenario_rejects_duplicate_ids():
     with pytest.raises(ModelError, match="duplicate"):
         Scenario(bundles=(make_bundle(1, 1), make_bundle(1, 2)))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +13,8 @@ from blockmech import harness, strategies
 from blockmech.fixtures import FIXTURE_DIR, integration_fixture, load_fixture
 from blockmech.mechanism import (
     BuilderAlgorithm,
+    BuilderEntry,
+    LedgerEntry,
     builder_label,
     builder_utility,
     instantiate_builders,
@@ -31,6 +34,7 @@ from blockmech.strategies import (
     BUILDER_OFFSET_GRID,
     COLLUSION_EPSILONS,
     INTEGRATION_OFFSET_GRID,
+    AdoptionReport,
     AdoptionScopeError,
     adoption_game,
     budget_deficit_demo,
@@ -213,14 +217,14 @@ def test_integration_rejects_core_bundles():
 
 def test_collusion_demo_matches_construction():
     report = collusion_demo()
-    assert report.eq1_unaffected
+    assert report.deployed_rule_unaffected
     assert report.exploit_holds
     assert report.beta0 == 150
     assert report.honest_refund == 70
     assert report.honest_utility == 70
     assert report.honest_proposer == 30
-    assert len(report.rows) == 3
-    for row in report.rows:
+    assert len(report.per_epsilon) == 3
+    for row in report.per_epsilon:
         assert row["eq1_refund"] == 70  # deployed rule ignores builder reports
         assert row["eq2_refund"] == 150  # jumps to the full default-block value
         assert row["exploit_utility"] == 150  # v - b + beta0 = 100 - 100 + 150
@@ -342,7 +346,6 @@ class _OffsetBidBuilder(BuilderAlgorithm):
     def __init__(self, inner: BuilderAlgorithm, offset: float):
         self.inner = inner
         self.offset = offset
-        self.name = f"{inner.name}{offset:+g}"
 
     def produce(self, bundles, env):
         block, beta = self.inner.produce(bundles, env)
@@ -529,11 +532,54 @@ def test_collusion_rows_equal_literal_runs(monkeypatch, profile_name):
 
 def test_every_deviation_verdict_fails_with_one_line_shape(monkeypatch):
     def losing_game(scenario, i, j):
-        return strategies._verdict(f"pair:{i},builder:{j}", 1.0, {"integrate|x": 2.0})
+        return strategies._verdict(1.0, {"integrate|x": 2.0})
 
     monkeypatch.setattr(harness, "integration_game", losing_game)
     (line,) = harness.verify_integration(1, 3).failures
     assert re.fullmatch(
         r"scenario \d+: pair \(\d+, builder \d+\) gains via integrate\|x \(1\.0 -> 2\.0\)",
         line,
+    )
+
+
+def test_budget_check_fails_with_one_line_per_breach(monkeypatch, example2):
+    broken = replace(
+        run_mechanism(example2),
+        searcher_ledger={1: LedgerEntry(5.0, -1.0)},
+        builder_ledger={0: BuilderEntry((), 0.0, refund=-2.0)},
+        proposer_revenue=10.0,
+    )
+    monkeypatch.setattr(harness, "run_mechanism", lambda scenario: broken)
+    assert harness.verify_budget_and_refunds(1, 0).failures == (
+        "scenario 0: negative refund for [1, 0]",
+        "scenario 0: outflow 7.0 exceeds inflow 5.0",
+    )
+
+
+def test_oracle_check_fails_with_one_line_per_scenario(monkeypatch):
+    monkeypatch.setattr(harness, "block_building", lambda *args: ())
+    monkeypatch.setattr(
+        harness, "vcg_outcome", lambda bundles, coinbase: SimpleNamespace(total_bid=7.0)
+    )
+    assert harness.verify_oracle_equivalence(2, 0).failures == (
+        "scenario 0: default 0 != oracle 7.0",
+        "scenario 1: default 0 != oracle 7.0",
+    )
+
+
+def test_adoption_sweep_fails_with_one_line_per_breach(monkeypatch):
+    report = AdoptionReport(
+        mode="full-conflict",
+        commit_proposer=1.0,
+        best_alternative_proposer=3.0,
+        second_highest_valuation=2.0,
+        partitions_checked=0,
+        commit_weakly_optimal=False,
+        witness_partition=(3,),
+    )
+    monkeypatch.setattr(harness, "adoption_game", lambda scenario: report)
+    assert harness.adoption_sweep(2, 0).failures == (
+        "scenario 0: nonzero proposer under no-conflict",
+        "scenario 1: commit pays 1.0, expected 2.0",
+        "scenario 1: partition (3,) beats commit",
     )
