@@ -17,14 +17,13 @@ from .model import (
     CoinbaseLabel,
     Scenario,
     _bid_lookup,
-    as_bundle_map,
     block_total_bid,
     one_time_label,
 )
 from .oracle import DEFAULT_OMEGA_LIMIT, vcg_outcome
 
 
-def _greedy(bundles, coinbase, key_weight) -> Block:
+def _greedy(bundles: dict, coinbase, key_weight) -> Block:
     """Repeatedly append the remaining bundle with the largest value /
     key_weight in the partial block's context, the first in id order on
     ties, until that bundle's value is not positive.
@@ -37,7 +36,6 @@ def _greedy(bundles, coinbase, key_weight) -> Block:
     pushes a fresh entry, and an entry whose key is no longer the bundle's
     current one (or whose bundle is placed) is skipped when popped.
     """
-    by_id = as_bundle_map(bundles)
     touching: dict = {}  # storage key -> ids whose footprint holds it
     lookups: dict = {}
     weights: dict = {}
@@ -56,8 +54,8 @@ def _greedy(bundles, coinbase, key_weight) -> Block:
         keys[i] = key = value / weights[i]
         heappush(heap, (-key, i))
 
-    for i in sorted(by_id):
-        b = by_id[i]
+    for i in sorted(bundles):
+        b = bundles[i]
         for k in b.footprint:
             touching.setdefault(k, []).append(i)
         lookups[i] = _bid_lookup(b, coinbase)
@@ -75,7 +73,7 @@ def _greedy(bundles, coinbase, key_weight) -> Block:
         del keys[best_id]
         affected = {
             j
-            for k in by_id[best_id].effective_writes(coinbase)
+            for k in bundles[best_id].effective_writes(coinbase)
             for j in touching[k]
             if j in keys
         }
@@ -86,15 +84,14 @@ def _greedy(bundles, coinbase, key_weight) -> Block:
     return tuple(block)
 
 
-def greedy_by_bid(bundles, coinbase: CoinbaseLabel) -> Block:
+def greedy_by_bid(bundles: dict, coinbase: CoinbaseLabel) -> Block:
     """Append the highest-bidding remaining bundle (ties by id)."""
     return _greedy(bundles, coinbase, lambda b: 1.0)
 
 
-def greedy_by_density(bundles, coinbase: CoinbaseLabel) -> Block:
+def greedy_by_density(bundles: dict, coinbase: CoinbaseLabel) -> Block:
     """Append the remaining bundle with the highest bid per unit weight."""
-    by_id = as_bundle_map(bundles)
-    for b in by_id.values():
+    for b in bundles.values():
         if b.weight <= 0:
             raise ValueError(f"bundle {b.id}: density ordering needs weight > 0")
     return _greedy(bundles, coinbase, lambda b: float(b.weight))

@@ -117,7 +117,7 @@ def _cmd_build(args) -> int:
         "seed": scenario.seed,
         "groups": [
             {
-                "members": res.group.sorted_members(),
+                "members": list(res.group.members),
                 "strategy": res.strategy.value,
                 "sub_block": list(res.sub_block),
                 "value": res.value,
@@ -134,7 +134,7 @@ def _cmd_build(args) -> int:
             values = block_bids(cblock, bundles, coinbase)
             body["counterfactuals"][str(i)] = {
                 "block": list(cblock),
-                "others_value": sum(v for j, v in values.items() if j != i),
+                "others_value": sum((v for j, v in values.items() if j != i), 0.0),
             }
     _emit(args, "build", body)
     return 0
@@ -205,7 +205,7 @@ def _cmd_groups(args) -> int:
         "size_histogram": {str(k): v for k, v in sorted(histogram.items())},
         "k_cutoff": cutoff,
         "groups_at_least_k_cutoff": sum(1 for g in groups if len(g) >= cutoff),
-        "groups": [g.sorted_members() for g in groups],
+        "groups": [list(g.members) for g in groups],
     }
     _emit(args, "groups", body)
     return 0

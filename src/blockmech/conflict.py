@@ -11,21 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Bundle, as_bundle_map
+from .model import Bundle
 
 
 @dataclass(frozen=True)
 class ConflictGroup:
-    """One connected component of the conflict graph."""
+    """One connected component of the conflict graph; `members` holds its
+    ids as an ascending tuple."""
 
-    members: frozenset
+    members: tuple
 
-    @property
-    def min_id(self) -> int:
-        return min(self.members)
-
-    def sorted_members(self) -> list:
-        return sorted(self.members)
+    def __post_init__(self):
+        object.__setattr__(self, "members", tuple(sorted(self.members)))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -36,7 +33,7 @@ def conflicts(a: Bundle, b: Bundle) -> bool:
     return bool(a.writes & b.footprint) or bool(b.writes & a.footprint)
 
 
-def get_conflict_groups(bundles) -> list:
+def get_conflict_groups(bundles: dict) -> list:
     """Partition bundles into conflict groups.
 
     Driven by a per-key index (writers and readers per storage key) so the
@@ -44,8 +41,8 @@ def get_conflict_groups(bundles) -> list:
     component labeling; bundles are never compared pairwise. Returned groups
     are sorted by smallest member id.
     """
-    by_id = as_bundle_map(bundles)
-    parent = {i: i for i in by_id}
+    ids = sorted(bundles)
+    parent = {i: i for i in ids}
 
     def find(x: int) -> int:
         root = x
@@ -62,8 +59,8 @@ def get_conflict_groups(bundles) -> list:
 
     first_writer: dict = {}
     readers: dict = {}
-    for i in sorted(by_id):
-        b = by_id[i]
+    for i in ids:
+        b = bundles[i]
         for key in b.writes:
             if key in first_writer:
                 union(i, first_writer[key])
@@ -74,22 +71,21 @@ def get_conflict_groups(bundles) -> list:
 
     # A reader joins the component of any writer of the same key. Keys with
     # no writer create no edges: concurrent reads commute.
-    for key, ids in readers.items():
+    for key, reading in readers.items():
         writer = first_writer.get(key)
         if writer is None:
             continue
-        for i in ids:
+        for i in reading:
             union(i, writer)
 
+    # In id order, each component is first met at its smallest member.
     components: dict = {}
-    for i in by_id:
+    for i in ids:
         components.setdefault(find(i), []).append(i)
-    groups = [ConflictGroup(frozenset(m)) for m in components.values()]
-    groups.sort(key=lambda g: g.min_id)
-    return groups
+    return [ConflictGroup(m) for m in components.values()]
 
 
 def conflict_free_set(groups) -> frozenset:
     """Bundles alone in their group: execution neither affects nor depends
     on any other bundle."""
-    return frozenset(next(iter(g.members)) for g in groups if len(g) == 1)
+    return frozenset(g.members[0] for g in groups if len(g) == 1)

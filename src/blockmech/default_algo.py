@@ -64,7 +64,6 @@ from .model import (
     Block,
     CoinbaseLabel,
     _bid_lookup,
-    as_bundle_map,
     block_bids,
 )
 
@@ -86,13 +85,13 @@ class GroupResolution:
     value: float
 
 
-def _ordered_subsets(members: list) -> Iterator[Block]:
+def _ordered_subsets(members: tuple) -> Iterator[Block]:
     for size in range(len(members) + 1):
         yield from permutations(members, size)
 
 
-def _plan(group: ConflictGroup, bundles, k_cutoff: int, seed: int) -> tuple:
-    """(strategy, pool, shortlist) for one group. `pool` holds the sorted ids
+def _plan(group: ConflictGroup, bundles: dict, k_cutoff: int, seed: int) -> tuple:
+    """(strategy, pool, shortlist) for one group. `pool` is the tuple of ids
     the candidates draw from. An ENUMERATED or TRUNCATED group has no
     `shortlist`: every ordered subset of its pool is a candidate. A shortcut
     lists its candidates explicitly.
@@ -107,26 +106,25 @@ def _plan(group: ConflictGroup, bundles, k_cutoff: int, seed: int) -> tuple:
     tx hash, ties by id; it is both the SAME_TARGET candidate and the
     truncation ranking.
     """
-    members = group.sorted_members()
+    members = group.members
     if len(members) < k_cutoff:
         return Strategy.ENUMERATED, members, None
-    by_id = as_bundle_map(bundles)
-    if set.intersection(*({tx.tx_hash for tx in by_id[i].txs} for i in members)):
+    if set.intersection(*({tx.tx_hash for tx in bundles[i].txs} for i in members)):
         return Strategy.SHARED_PIVOT, members, [(i,) for i in members]
 
     def rank(i):
-        tx_hash = by_id[i].txs[0].tx_hash
+        tx_hash = bundles[i].txs[0].tx_hash
         digest = hashlib.blake2b(f"{seed}:{tx_hash}".encode(), digest_size=16)
         return digest.hexdigest(), i
 
     seeded = sorted(members, key=rank)
-    if len({tx.target for i in members for tx in by_id[i].txs}) == 1:
+    if len({tx.target for i in members for tx in bundles[i].txs}) == 1:
         return Strategy.SAME_TARGET, members, [tuple(seeded)]
-    return Strategy.TRUNCATED, sorted(seeded[: k_cutoff - 1]), None
+    return Strategy.TRUNCATED, tuple(sorted(seeded[: k_cutoff - 1])), None
 
 
 def candidate_set(
-    group: ConflictGroup, bundles, k_cutoff: int, seed: int
+    group: ConflictGroup, bundles: dict, k_cutoff: int, seed: int
 ) -> Iterator[Block]:
     """Candidate sub-blocks for one group, in canonical enumeration order:
     the range the group's optimum is taken over.
@@ -240,7 +238,7 @@ def _walk(
 
 
 def _scan(
-    pool: list,
+    pool: tuple,
     bundles: dict,
     shortlist: list,
     coinbase: CoinbaseLabel,
@@ -272,35 +270,33 @@ def _scan(
 
 def _resolve(
     group: ConflictGroup,
-    bundles,
+    bundles: dict,
     k_cutoff: int,
     seed: int,
     coinbase: CoinbaseLabel,
     counterfactuals: bool,
     transcript: Optional[list] = None,
 ) -> tuple:
-    by_id = as_bundle_map(bundles)
-    strategy, pool, shortlist = _plan(group, by_id, k_cutoff, seed)
+    strategy, pool, shortlist = _plan(group, bundles, k_cutoff, seed)
     if shortlist is None:
         best, value, without = _walk(
-            {i: by_id[i] for i in pool}, coinbase, counterfactuals, transcript
+            {i: bundles[i] for i in pool}, coinbase, counterfactuals, transcript
         )
     else:
         best, value, without = _scan(
-            pool, by_id, shortlist, coinbase, counterfactuals, transcript
+            pool, bundles, shortlist, coinbase, counterfactuals, transcript
         )
     resolution = GroupResolution(group, strategy, best, value)
     if not counterfactuals:
         return resolution, {}
     # A member outside a truncated pool adds 0.0 to every candidate, so its
     # counterfactual is the base resolution.
-    members = group.sorted_members()
-    return resolution, {i: without.get(i, (best, value)) for i in members}
+    return resolution, {i: without.get(i, (best, value)) for i in group.members}
 
 
 def resolve_group(
     group: ConflictGroup,
-    bundles,
+    bundles: dict,
     k_cutoff: int,
     seed: int,
     coinbase: CoinbaseLabel,
@@ -324,7 +320,7 @@ def resolve_group(
 
 def resolve_group_with_counterfactuals(
     group: ConflictGroup,
-    bundles,
+    bundles: dict,
     k_cutoff: int,
     seed: int,
     coinbase: CoinbaseLabel,
@@ -346,7 +342,7 @@ def resolve_group_with_counterfactuals(
 
 
 def build_with_resolutions(
-    bundles,
+    bundles: dict,
     k_cutoff: int,
     seed: int,
     coinbase: CoinbaseLabel,
@@ -357,17 +353,16 @@ def build_with_resolutions(
     change the value; ascending smallest-member-id keeps it reproducible.
     Returns (block, [GroupResolution]).
     """
-    by_id = as_bundle_map(bundles)
     resolutions = [
-        resolve_group(g, by_id, k_cutoff, seed, coinbase)
-        for g in get_conflict_groups(by_id)
+        resolve_group(g, bundles, k_cutoff, seed, coinbase)
+        for g in get_conflict_groups(bundles)
     ]
     block = tuple(i for res in resolutions for i in res.sub_block)
     return block, resolutions
 
 
 def block_building(
-    bundles,
+    bundles: dict,
     k_cutoff: int,
     seed: int,
     coinbase: CoinbaseLabel,
@@ -377,7 +372,7 @@ def block_building(
 
 
 def counterfactual_blocks(
-    bundles,
+    bundles: dict,
     k_cutoff: int,
     seed: int,
     coinbase: CoinbaseLabel,
@@ -391,10 +386,9 @@ def counterfactual_blocks(
     still be included at zero bid; the seed (and therefore every candidate
     set) is unchanged.
     """
-    by_id = as_bundle_map(bundles)
     resolved = [
-        resolve_group_with_counterfactuals(g, by_id, k_cutoff, seed, coinbase)
-        for g in get_conflict_groups(by_id)
+        resolve_group_with_counterfactuals(g, bundles, k_cutoff, seed, coinbase)
+        for g in get_conflict_groups(bundles)
     ]
     out = {}
     for slot, (_, counterfactuals) in enumerate(resolved):

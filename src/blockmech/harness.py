@@ -137,10 +137,10 @@ def verify_searcher_dsic(n: int, seed: int, threads: int = 1) -> HarnessResult:
         profile = _SWEEP_PROFILE if i % 2 == 0 else PROFILES["full-conflict"]
         scenario = generate_scenario(profile, _subseed(seed, i))
         scenario = with_builders(scenario, _DOMINATED_STUBS)
-        groups = get_conflict_groups(scenario.bundles)
-        core = sorted(set(b.id for b in scenario.bundles) - conflict_free_set(groups))
+        bundles = scenario.bundle_map()
+        core = sorted(set(bundles) - conflict_free_set(get_conflict_groups(bundles)))
         rng = random.Random(_subseed(seed, i) ^ 0x5EED)
-        pool = core if core else sorted(b.id for b in scenario.bundles)
+        pool = core if core else sorted(bundles)
         subject = pool[rng.randrange(len(pool))]
         report = searcher_deviation_sweep(scenario, subject)
         return _gains(i, f"searcher {subject}", report)
@@ -177,7 +177,7 @@ def verify_integration(n: int, seed: int, threads: int = 1) -> HarnessResult:
     while len(games) < n and attempt < 10 * n:
         scenario = generate_scenario(_SWEEP_PROFILE, _subseed(seed, attempt))
         attempt += 1
-        free = sorted(conflict_free_set(get_conflict_groups(scenario.bundles)))
+        free = sorted(conflict_free_set(get_conflict_groups(scenario.bundle_map())))
         if not free:
             continue
         lineup = _INTEGRATION_LINEUPS[len(games) % len(_INTEGRATION_LINEUPS)]
@@ -217,13 +217,9 @@ def verify_oracle_equivalence(n: int, seed: int) -> HarnessResult:
     return HarnessResult("oracle-equivalence", n, tuple(failures), {})
 
 
-def compare_sweep(profile, n: int, seed: int, threads: int = 1) -> HarnessResult:
+def compare_sweep(profile: Profile, n: int, seed: int, threads: int = 1) -> HarnessResult:
     """Fraction of scenarios where the default block is the best among the
-    compared algorithms, plus witnesses where it is not.
-
-    `profile` is a builtin profile name or a Profile instance.
-    """
-    profile = PROFILES[profile] if isinstance(profile, str) else profile
+    compared algorithms, plus witnesses where it is not."""
 
     def compare(i: int) -> tuple:
         scenario = generate_scenario(profile, _subseed(seed, i))

@@ -40,7 +40,6 @@ from .model import (
     CoinbaseLabel,
     GatedBid,
     Scenario,
-    as_bundle_map,
     block_bids,
     block_total_bid,
     builder_label,
@@ -72,13 +71,13 @@ class BuilderEnv:
 class BuilderAlgorithm:
     """A competing block producer.
 
-    `produce` returns a candidate block over the given bundles plus the bid
-    the builder is willing to pay if its block is selected; each bundle's
-    bid is its `bid` field. Implementations must be pure functions of their
-    inputs.
+    `produce` returns a candidate block over the given id -> Bundle map
+    plus the bid the builder is willing to pay if its block is selected;
+    each bundle's bid is its `bid` field. Implementations must be pure
+    functions of their inputs.
     """
 
-    def produce(self, bundles, env: BuilderEnv) -> tuple:
+    def produce(self, bundles: dict, env: BuilderEnv) -> tuple:
         raise NotImplementedError
 
 
@@ -96,10 +95,9 @@ def _hash_extreme(pick):
     """Block rule: the bundle whose first tx hash is `pick` (min or max)."""
 
     def block_rule(bundles, env) -> Block:
-        by_id = as_bundle_map(bundles)
-        if not by_id:
+        if not bundles:
             return ()
-        return (pick(by_id, key=lambda i: (by_id[i].txs[0].tx_hash, i)),)
+        return (pick(bundles, key=lambda i: (bundles[i].txs[0].tx_hash, i)),)
 
     return block_rule
 
@@ -203,14 +201,14 @@ class MechanismOutcome:
         """Everything the mechanism collects: searcher charges in the
         default-wins case, the winning builder's payment otherwise."""
         if self.winning_builder is None:
-            return sum(e.charge for e in self.searcher_ledger.values())
-        return sum(e.payment for e in self.builder_ledger.values())
+            return sum((e.charge for e in self.searcher_ledger.values()), 0.0)
+        return sum((e.payment for e in self.builder_ledger.values()), 0.0)
 
     @property
     def total_outflow(self) -> float:
         return (
-            sum(e.refund for e in self.searcher_ledger.values())
-            + sum(e.refund for e in self.builder_ledger.values())
+            sum((e.refund for e in self.searcher_ledger.values()), 0.0)
+            + sum((e.refund for e in self.builder_ledger.values()), 0.0)
             + self.proposer_revenue
         )
 
@@ -219,7 +217,7 @@ def refund_default(
     i: int,
     o_star: Block,
     o_minus_i: Block,
-    bundles,
+    bundles: dict,
     coinbase: CoinbaseLabel,
 ) -> float:
     """Refund fixed by the default run: total bid of the default block minus
@@ -228,14 +226,13 @@ def refund_default(
 
     Test reference for the group-local refunds of `run_mechanism`, which
     never calls it: this route evaluates two full blocks per bundle."""
-    by_id = as_bundle_map(bundles)
-    if i not in by_id:
+    if i not in bundles:
         raise MechanismError(
             f"bundle {i} is not in the core set; conflict-free bundles are "
             "refunded their own bid, not through this rule"
         )
-    total = block_total_bid(o_star, by_id, coinbase)
-    others = block_bids(o_minus_i, by_id, coinbase)
+    total = block_total_bid(o_star, bundles, coinbase)
+    others = block_bids(o_minus_i, bundles, coinbase)
     others_total = sum(v for j, v in others.items() if j != i)
     return total - others_total
 
@@ -260,9 +257,8 @@ def alternative_refund(i: int, beta_star, beta_minus: Mapping, beta0, beta_prime
     return weights[i] * cap / total
 
 
-def _append_conflict_free(core_block: Block, free_ids, bundles) -> Block:
-    by_id = as_bundle_map(bundles)
-    tail = sorted(free_ids, key=lambda i: (by_id[i].txs[0].tx_hash, i))
+def _append_conflict_free(core_block: Block, free_ids, bundles: dict) -> Block:
+    tail = sorted(free_ids, key=lambda i: (bundles[i].txs[0].tx_hash, i))
     return tuple(core_block) + tuple(tail)
 
 
@@ -427,15 +423,14 @@ def run_mechanism(
     return settle(prepared, compete(prepared, builders))
 
 
-def searcher_utility(i: int, outcome: MechanismOutcome, bundles) -> float:
+def searcher_utility(i: int, outcome: MechanismOutcome, bundles: dict) -> float:
     """Bundle i's `valuation` in its final-block context, whatever it bid,
     minus its net payment. A map in which i already bids its valuation is
     read as it is, so a sweep builds that map once."""
-    by_id = as_bundle_map(bundles)
-    truth = by_id[i].valuation
-    if by_id[i].bid is not truth:
-        by_id = with_bids(by_id, {i: truth})
-    values = block_bids(outcome.final_block, by_id, outcome.final_coinbase)
+    truth = bundles[i].valuation
+    if bundles[i].bid is not truth:
+        bundles = with_bids(bundles, {i: truth})
+    values = block_bids(outcome.final_block, bundles, outcome.final_coinbase)
     entry = outcome.searcher_ledger[i]
     return values.get(i, 0.0) - entry.charge + entry.refund
 

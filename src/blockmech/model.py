@@ -5,6 +5,9 @@ runs is reduced to the ordered sequence of conflicting bundles placed before
 it plus the coinbase label of the run; a bid function maps that context to a
 non-negative payment. All types are immutable after construction, so every
 operation in the package is a pure function and safe to share across threads.
+
+Every `bundles` argument in the package is the id -> Bundle map that
+`Scenario.bundle_map()` returns; callees only read it.
 """
 
 from __future__ import annotations
@@ -236,21 +239,11 @@ class Scenario:
         return {b.id: b for b in self.bundles}
 
 
-def as_bundle_map(bundles) -> dict:
-    """Accept an iterable of bundles or an id->Bundle dict.
-
-    A dict is returned as-is (callers treat it as read-only).
-    """
-    if isinstance(bundles, dict):
-        return bundles
-    return {b.id: b for b in bundles}
-
-
-def with_bids(bundles, bids: Mapping[int, BidFunction]) -> dict:
+def with_bids(bundles: dict, bids: Mapping[int, BidFunction]) -> dict:
     """An id -> Bundle map in which each bundle named in `bids` states that
     bid: how a misreport or a zeroed bid is stated. Every other field, and
     every unlisted bundle object, is kept; an unknown id is refused."""
-    out = dict(as_bundle_map(bundles))
+    out = dict(bundles)
     for i, fn in bids.items():
         if i not in out:
             raise ModelError(f"no bundle {i} to give a bid")
@@ -288,7 +281,7 @@ def _bid_lookup(bundle: Bundle, coinbase: CoinbaseLabel) -> tuple:
 
 def block_bids(
     block: Block,
-    bundles,
+    bundles: dict,
     coinbase: CoinbaseLabel,
 ) -> dict:
     """Per-included-bundle bid values, evaluated in one pass over the block.
@@ -299,14 +292,13 @@ def block_bids(
     length. Each bundle pays by its own `bid`; a misreport is a bundle map
     built by `with_bids`.
     """
-    by_id = as_bundle_map(bundles)
-    refusal = validate_builder_block(block, by_id)
+    refusal = validate_builder_block(block, bundles)
     if refusal is not None:
         raise ModelError(refusal)
     values: dict = {}
     writers: dict = {}  # storage key -> positions of placed bundles writing it
     for position, i in enumerate(block):
-        b = by_id[i]
+        b = bundles[i]
         constant, table, default = _bid_lookup(b, coinbase)
         if constant is None:
             hits: set = set()
@@ -325,22 +317,21 @@ def block_bids(
 
 def block_total_bid(
     block: Block,
-    bundles,
+    bundles: dict,
     coinbase: CoinbaseLabel,
 ) -> float:
-    """Total bid of a block; bundles outside the block contribute 0."""
-    return sum(block_bids(block, bundles, coinbase).values())
+    """Total bid of a block, 0.0 when empty; bundles outside it contribute 0."""
+    return sum(block_bids(block, bundles, coinbase).values(), 0.0)
 
 
-def validate_builder_block(block: Block, bundles) -> Optional[str]:
+def validate_builder_block(block: Block, bundles: dict) -> Optional[str]:
     """A valid block is a duplicate-free subset of the input ids; otherwise
     the refusal, which names the first offending id."""
-    known = as_bundle_map(bundles)
     seen = set()
     for i in block:
         if i in seen:
             return f"duplicate bundle id {i} in block"
-        if i not in known:
+        if i not in bundles:
             return f"foreign bundle id {i} not in input set"
         seen.add(i)
     return None

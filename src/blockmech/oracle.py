@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .default_algo import _ordered_subsets, _walk
-from .model import Block, CoinbaseLabel, as_bundle_map, block_bids
+from .model import Block, CoinbaseLabel, block_bids
 
 DEFAULT_OMEGA_LIMIT = 8
 
@@ -50,16 +50,16 @@ def _check_size(count: int, limit: int) -> None:
         )
 
 
-def full_omega(bundles, limit: int = DEFAULT_OMEGA_LIMIT) -> Iterator[Block]:
+def full_omega(bundles: dict, limit: int = DEFAULT_OMEGA_LIMIT) -> Iterator[Block]:
     """Every ordered subset of the bundle set, exactly once, in canonical
     order (sizes ascending, ids ascending, permutations lexicographic)."""
-    ids = sorted(as_bundle_map(bundles))
+    ids = sorted(bundles)
     _check_size(len(ids), limit)
     yield from _ordered_subsets(ids)
 
 
 def vcg_outcome(
-    bundles,
+    bundles: dict,
     coinbase: CoinbaseLabel,
     limit: int = DEFAULT_OMEGA_LIMIT,
 ) -> VcgOutcome:
@@ -71,13 +71,12 @@ def vcg_outcome(
     block space. One walk over that space computes the winner and every
     counterfactual maximum simultaneously.
     """
-    by_id = as_bundle_map(bundles)
-    ids = sorted(by_id)
+    ids = sorted(bundles)
     _check_size(len(ids), limit)
-    best_block, best_total, without = _walk(by_id, coinbase, True)
+    best_block, best_total, without = _walk(bundles, coinbase, True)
 
-    winner_values = block_bids(best_block, by_id, coinbase)
+    winner_values = block_bids(best_block, bundles, coinbase)
     charges = {i: winner_values.get(i, 0.0) for i in ids}
     refunds = {i: best_total - without[i][1] for i in ids}
-    proposer = sum(charges[i] - refunds[i] for i in ids)
+    proposer = sum((charges[i] - refunds[i] for i in ids), 0.0)
     return VcgOutcome(best_block, best_total, charges, refunds, proposer)

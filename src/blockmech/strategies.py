@@ -95,7 +95,7 @@ def _verdict(truthful: float, deviations: dict) -> DeviationReport:
 
 def _rebid(scenario: Scenario, i: int, bid_fn) -> Scenario:
     """The scenario with bundle i reporting `bid_fn`."""
-    rebid = with_bids(scenario.bundles, {i: bid_fn})
+    rebid = with_bids(scenario.bundle_map(), {i: bid_fn})
     return replace(scenario, bundles=tuple(rebid.values()))
 
 
@@ -106,8 +106,9 @@ def searcher_deviation_sweep(scenario: Scenario, i: int) -> DeviationReport:
     Utilities are always computed against the true valuation; only the
     reported bid changes.
     """
-    truth = scenario.bundle_map()[i].valuation
-    valued = with_bids(scenario.bundles, {i: truth})
+    bundles = scenario.bundle_map()
+    truth = bundles[i].valuation
+    valued = with_bids(bundles, {i: truth})
 
     def utility(bid_fn) -> float:
         outcome = run_mechanism(_rebid(scenario, i, bid_fn))
@@ -174,7 +175,7 @@ def integration_game(scenario: Scenario, i: int, j: int) -> DeviationReport:
     entries = compete(prepared, None)
     table = {}
     for mode, stated in (("participate", scenario), ("integrate", integrate)):
-        valued = with_bids(stated.bundles, {i: truth})
+        valued = with_bids(stated.bundle_map(), {i: truth})
         for bid_label, bid_fn in [("truthful", truth)] + standard_bid_transforms(truth):
             reported = replace(prepared, scenario=_rebid(stated, i, bid_fn))
             for offset in INTEGRATION_OFFSET_GRID:
@@ -412,10 +413,10 @@ def _second_highest(values) -> float:
 
 
 def classify_adoption(scenario: Scenario) -> str:
-    groups = get_conflict_groups(scenario.bundles)
+    bundles = scenario.bundle_map()
+    groups = get_conflict_groups(bundles)
     if all(len(g) == 1 for g in groups):
         return "no-conflict"
-    bundles = scenario.bundle_map()
     whole = len(groups) == 1 and len(groups[0]) == len(bundles)
     exclusive = all(
         isinstance(b.bid, TableBid)

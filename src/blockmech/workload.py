@@ -238,7 +238,7 @@ def generate_scenario(
     for g, size in enumerate(plan):
         member_ids = list(range(next_id, next_id + size))
         next_id += size
-        planned_partition.append(frozenset(member_ids))
+        planned_partition.append(tuple(member_ids))
 
         # A singleton is never stamped. The stamp fixes the key every member
         # writes (`shared`; None means a write chain), each member's tx
@@ -294,7 +294,7 @@ def generate_scenario(
         k_cutoff=k_cutoff,
         seed=seed,
     )
-    realized = {g.members for g in get_conflict_groups(scenario.bundles)}
+    realized = {g.members for g in get_conflict_groups(scenario.bundle_map())}
     if realized != set(planned_partition):
         raise GenerationError(
             f"planned conflict partition does not match realized one "

@@ -16,7 +16,6 @@ from blockmech.model import (
     Scenario,
     StorageKey,
     TxRef,
-    as_bundle_map,
 )
 
 
@@ -63,12 +62,12 @@ def make_scenario(*bundles, builders=(), k_cutoff=8, seed=0) -> Scenario:
     )
 
 
-def rebid(bundles, bids) -> dict:
+def rebid(bundles: dict, bids) -> dict:
     """Reference for `model.with_bids`: the id -> Bundle map with each
     bundle named in `bids` rebuilt by `dataclasses.replace` to state that
     bid. Reference routes state misreports through this, so that the
     helper the fast routes use is checked, not trusted."""
-    out = dict(as_bundle_map(bundles))
+    out = dict(bundles)
     for i, fn in (bids or {}).items():
         out[i] = replace(out[i], bid=fn)
     return out
@@ -76,26 +75,27 @@ def rebid(bundles, bids) -> dict:
 
 def rebid_scenario(scenario: Scenario, bids) -> Scenario:
     """The scenario with `rebid` applied to its bundles."""
-    return replace(scenario, bundles=tuple(rebid(scenario.bundles, bids).values()))
+    return replace(
+        scenario, bundles=tuple(rebid(scenario.bundle_map(), bids).values())
+    )
 
 
-def canonical_context(block, subject: int, bundles, coinbase) -> ExecutionContext:
+def canonical_context(block, subject: int, bundles: dict, coinbase) -> ExecutionContext:
     """Context the subject bundle executes in within `block`.
 
     Predecessors are the ids placed before the subject whose effective write
     set intersects the subject's footprint, in block order. Appending bundles
     after the subject can never change the result.
     """
-    by_id = as_bundle_map(bundles)
     if subject not in block:
         raise ModelError(f"bundle {subject} not included in block")
-    subj = by_id[subject]
+    subj = bundles[subject]
     footprint = subj.footprint
     preds = []
     for j in block:
         if j == subject:
             break
-        if by_id[j].effective_writes(coinbase) & footprint:
+        if bundles[j].effective_writes(coinbase) & footprint:
             preds.append(j)
     return ExecutionContext(tuple(preds), coinbase)
 

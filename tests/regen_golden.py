@@ -87,6 +87,17 @@ def _cases() -> dict:
     cases["mechanism-realistic-half-default"] = ("mechanism", half, *table)
     cases["mechanism-realistic-half-default-json"] = ("mechanism", half, *json_format)
     cases["compare-realistic-half-default"] = ("compare", half, *table)
+    # Sums over nothing: a scenario without bundles, and one whose only
+    # bundle has no others to count. Every amount is still a float.
+    empty = "{inputs}/empty.json"
+    for command in ("mechanism", "compare", "oracle"):
+        cases[f"{command}-empty-json"] = (command, empty, *json_format)
+    cases["build-counterfactuals-empty-json"] = (
+        "build", empty, "--counterfactuals", *json_format
+    )
+    cases["build-counterfactuals-one-bundle-json"] = (
+        "build", "{inputs}/one-bundle.json", "--counterfactuals", *json_format
+    )
     # Refusals that end in exit 2 and one line on stderr; tests/test_cli.py
     # checks the usage errors.
     cases["error-oracle-too-large"] = ("oracle", "{inputs}/stress-4.json")

@@ -285,8 +285,8 @@ def test_criterion_12_value_comparison_substitute():
     """
     t0 = time.perf_counter()
     small = compare_sweep(SMALL_GROUPS, 500, seed=120)
-    stress_a = compare_sweep("stress-large-groups", 40, seed=121)
-    stress_b = compare_sweep("stress-large-groups", 40, seed=121)
+    stress_a = compare_sweep(PROFILES["stress-large-groups"], 40, seed=121)
+    stress_b = compare_sweep(PROFILES["stress-large-groups"], 40, seed=121)
 
     ok = (
         small.details["default_best_fraction"] == 1.0

@@ -75,7 +75,7 @@ def test_default_is_best_when_groups_are_small():
         scenario = generate_scenario(PROFILES["realistic"], seed)
         if any(
             len(g) >= scenario.k_cutoff
-            for g in get_conflict_groups(scenario.bundles)
+            for g in get_conflict_groups(scenario.bundle_map())
         ):
             continue
         report = compare_algorithms(scenario)

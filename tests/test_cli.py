@@ -185,6 +185,16 @@ def test_game_adoption_rejects_mixed_scenarios(capsys, tmp_path):
     assert "no-conflict or full-conflict" in err
 
 
+def test_game_adoption_refuses_more_bundles_than_the_partition_cap(capsys, tmp_path):
+    profile = tmp_path / "fc7.json"
+    profile.write_text('{"n_bundles": 7, "group_sizes": {}, "bid_model": "exclusive"}')
+    path = tmp_path / "fc7-scenario.json"
+    run_cli(capsys, "gen", "--profile", str(profile), "--seed", "1", "--out", str(path))
+    code, out, err = run_cli(capsys, "game", "adoption", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: exhaustive partition search capped at 6 bundles\n"
+
+
 def test_game_adoption_sweep(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(capsys, "game", "adoption", "--n", "6", "--seed", "1")
@@ -804,6 +814,21 @@ def test_malformed_profile_is_a_located_usage_error(
     assert err.startswith("error: " + location.format(path=profile))
     assert "Traceback" not in err and out == ""
     assert not (tmp_path / "s.json").exists()
+
+
+def test_profile_value_range_needs_two_bounds(capsys, tmp_path):
+    profile = tmp_path / "p.json"
+    profile.write_text('{"n_bundles": 4, "group_sizes": {"2": 1}, "value_range": [1]}')
+    argv = ["gen", "--profile", str(profile), "--out", str(tmp_path / "s.json")]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: value_range: expected [low, high]\n"
+
+
+def test_scenario_path_that_is_a_directory_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "mechanism", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {tmp_path}: Is a directory\n"
 
 
 def test_profile_with_only_zero_weight_sizes_left_generates(capsys, tmp_path):

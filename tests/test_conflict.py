@@ -17,14 +17,14 @@ def test_write_read_conflict_groups():
     a = make_bundle(1, 1, writes={key("k1")})
     b = make_bundle(2, 1, reads={key("k1")})
     c = make_bundle(3, 1, writes={key("k2")})
-    groups = get_conflict_groups([a, b, c])
-    assert [g.members for g in groups] == [frozenset({1, 2}), frozenset({3})]
+    groups = get_conflict_groups({1: a, 2: b, 3: c})
+    assert [g.members for g in groups] == [(1, 2), (3,)]
 
 
 def test_read_read_is_not_a_conflict():
     a = make_bundle(1, 1, reads={key("k1")})
     b = make_bundle(2, 1, reads={key("k1")})
-    groups = get_conflict_groups([a, b])
+    groups = get_conflict_groups({1: a, 2: b})
     assert all(len(g) == 1 for g in groups)
 
 
@@ -38,7 +38,7 @@ def test_write_chain_is_transitively_grouped():
         make_bundle(3, 1, writes={keys[2], keys[3]}),
         make_bundle(4, 1, writes={keys[3]}),
     ]
-    groups = get_conflict_groups(bundles)
+    groups = get_conflict_groups({b.id: b for b in bundles})
     assert len(groups) == 1 and len(groups[0]) == 5
 
 
@@ -46,16 +46,16 @@ def test_conflict_free_set():
     a = make_bundle(1, 1, writes={key("k1")})
     b = make_bundle(2, 1, reads={key("k1")})
     c = make_bundle(3, 1, writes={key("k2")})
-    groups = get_conflict_groups([a, b, c])
+    groups = get_conflict_groups({1: a, 2: b, 3: c})
     assert conflict_free_set(groups) == frozenset({3})
-    only_singletons = get_conflict_groups([a, c])
+    only_singletons = get_conflict_groups({1: a, 3: c})
     assert conflict_free_set(only_singletons) == frozenset({1, 3})
 
 
 def test_no_singletons_gives_empty_set():
     a = make_bundle(1, 1, writes={key("k1")})
     b = make_bundle(2, 1, writes={key("k1")})
-    assert conflict_free_set(get_conflict_groups([a, b])) == frozenset()
+    assert conflict_free_set(get_conflict_groups({1: a, 2: b})) == frozenset()
 
 
 @st.composite
@@ -73,18 +73,18 @@ def _random_bundles(draw):
 @given(bundles=_random_bundles())
 @settings(max_examples=80)
 def test_groups_partition_the_bundle_set(bundles):
-    groups = get_conflict_groups(bundles)
+    groups = get_conflict_groups({b.id: b for b in bundles})
     seen = [i for g in groups for i in g.members]
     assert sorted(seen) == sorted(b.id for b in bundles)
     # groups are ordered by smallest member, deterministically
-    assert [g.min_id for g in groups] == sorted(g.min_id for g in groups)
+    assert [g.members[0] for g in groups] == sorted(g.members[0] for g in groups)
 
 
 @given(bundles=_random_bundles())
 @settings(max_examples=80)
 def test_conflict_predicate_is_symmetric_and_matches_grouping(bundles):
     by_id = {b.id: b for b in bundles}
-    groups = get_conflict_groups(bundles)
+    groups = get_conflict_groups(by_id)
     group_of = {i: n for n, g in enumerate(groups) for i in g.members}
     for a in bundles:
         for b in bundles:
@@ -94,16 +94,16 @@ def test_conflict_predicate_is_symmetric_and_matches_grouping(bundles):
             if conflicts(a, b):
                 assert group_of[a.id] == group_of[b.id]
     # and grouping is independent of input order
-    regrouped = get_conflict_groups(list(reversed(bundles)))
+    regrouped = get_conflict_groups(dict(reversed(by_id.items())))
     assert [g.members for g in regrouped] == [g.members for g in groups]
 
 
 @given(bundles=_random_bundles())
 @settings(max_examples=60)
 def test_conflict_free_bundles_always_see_empty_context(bundles):
-    groups = get_conflict_groups(bundles)
-    free = conflict_free_set(groups)
     by_id = {b.id: b for b in bundles}
+    groups = get_conflict_groups(by_id)
+    free = conflict_free_set(groups)
     order = tuple(sorted(by_id))
     for i in free:
         assert canonical_context(order, i, by_id, LABEL).predecessors == ()

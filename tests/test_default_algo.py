@@ -33,32 +33,30 @@ from conftest import key, make_bundle
 LABEL = CoinbaseLabel("test")
 
 
-def _group(bundles) -> ConflictGroup:
-    return ConflictGroup(frozenset(b.id for b in bundles))
+def _group(bundles: dict) -> ConflictGroup:
+    return ConflictGroup(tuple(bundles))
 
 
 def _pivot_bundles(n, values=None):
     victim = TxRef("0xvictim", "0xpool")
     shared = key("pool")
-    out = []
+    out = {}
     for i in range(1, n + 1):
         value = values[i - 1] if values else 1
-        out.append(
-            make_bundle(
-                i,
-                value,
-                writes={shared},
-                txs=(TxRef(f"0x{i:02x}", f"0xself{i}"), victim),
-            )
+        out[i] = make_bundle(
+            i,
+            value,
+            writes={shared},
+            txs=(TxRef(f"0x{i:02x}", f"0xself{i}"), victim),
         )
     return out
 
 
 def test_candidate_counts_small_groups():
-    pair = [make_bundle(i, 1, writes={key("k")}) for i in (1, 2)]
+    pair = {i: make_bundle(i, 1, writes={key("k")}) for i in (1, 2)}
     cands = list(candidate_set(_group(pair), pair, 8, 0))
     assert cands == [(), (1,), (2,), (1, 2), (2, 1)]
-    trio = [make_bundle(i, 1, writes={key("k")}) for i in (1, 2, 3)]
+    trio = {i: make_bundle(i, 1, writes={key("k")}) for i in (1, 2, 3)}
     assert len(list(candidate_set(_group(trio), trio, 8, 0))) == 16
 
 
@@ -70,15 +68,15 @@ def test_shared_pivot_candidates_are_singletons():
 
 def test_same_target_single_candidate_is_seeded_shuffle():
     shared = key("token")
-    bundles = [
-        make_bundle(i, 1, writes={shared}, txs=(TxRef(f"0x{i:02x}", "0xtoken"),))
+    bundles = {
+        i: make_bundle(i, 1, writes={shared}, txs=(TxRef(f"0x{i:02x}", "0xtoken"),))
         for i in range(1, 10)
-    ]
+    }
     group = _group(bundles)
     cands_a = list(candidate_set(group, bundles, 8, seed=1))
     cands_b = list(candidate_set(group, bundles, 8, seed=1))
     assert len(cands_a) == 1 and cands_a == cands_b
-    assert sorted(cands_a[0]) == [b.id for b in bundles]
+    assert sorted(cands_a[0]) == list(bundles)
 
 
 def test_is_feasible_classification():
@@ -88,24 +86,24 @@ def test_is_feasible_classification():
     assert _plan(_group(pivots), pivots, 11, 0)[0] is Strategy.ENUMERATED
     assert _plan(_group(pivots), pivots, 8, 0)[0] is Strategy.SHARED_PIVOT
     shared = key("token")
-    same_target = [
-        make_bundle(i, 1, writes={shared}, txs=(TxRef(f"0x{i:02x}", "0xtoken"),))
+    same_target = {
+        i: make_bundle(i, 1, writes={shared}, txs=(TxRef(f"0x{i:02x}", "0xtoken"),))
         for i in range(12)
-    ]
+    }
     assert _plan(_group(same_target), same_target, 8, 0)[0] is Strategy.SAME_TARGET
-    plain = [make_bundle(i, 1, writes={shared}) for i in range(9)]
+    plain = {i: make_bundle(i, 1, writes={shared}) for i in range(9)}
     assert _plan(_group(plain), plain, 8, 0)[0] is Strategy.TRUNCATED
 
 
 def test_select_subset_is_deterministic_and_seed_sensitive():
     # A truncated group's pool: the first k_cutoff - 1 members in the
     # seeded order, as sorted ids.
-    bundles = [make_bundle(i, 1, writes={key("k")}) for i in range(12)]
+    bundles = {i: make_bundle(i, 1, writes={key("k")}) for i in range(12)}
     group = _group(bundles)
     strategy, first, shortlist = _plan(group, bundles, 8, seed=5)
     assert strategy is Strategy.TRUNCATED and shortlist is None
     assert len(first) == 7 and _plan(group, bundles, 8, seed=5)[1] == first
-    assert _plan(group, bundles, 99, seed=5)[1] == sorted(group.members)
+    assert _plan(group, bundles, 99, seed=5)[1] == group.members
     other = _plan(group, bundles, 8, seed=6)[1]
     assert len(other) == 7  # may differ from `first`, must be internally stable
     assert _plan(group, bundles, 8, seed=6)[1] == other
@@ -121,18 +119,18 @@ def test_resolve_group_table1(example2):
 
 
 def test_resolve_group_all_zero_bids_picks_empty_block():
-    bundles = [make_bundle(i, 0, writes={key("k")}) for i in (1, 2, 3)]
+    bundles = {i: make_bundle(i, 0, writes={key("k")}) for i in (1, 2, 3)}
     res = resolve_group(_group(bundles), bundles, 8, 0, LABEL)
     assert res.sub_block == ()
     assert res.value == 0
 
 
 def test_resolve_group_constant_bids_first_full_permutation():
-    bundles = [
-        make_bundle(1, 5, writes={key("k")}),
-        make_bundle(2, 7, writes={key("k")}),
-        make_bundle(3, 9, writes={key("k")}),
-    ]
+    bundles = {
+        1: make_bundle(1, 5, writes={key("k")}),
+        2: make_bundle(2, 7, writes={key("k")}),
+        3: make_bundle(3, 9, writes={key("k")}),
+    }
     res = resolve_group(_group(bundles), bundles, 8, 0, LABEL)
     assert res.value == 21
     assert res.sub_block == (1, 2, 3)  # first maximizer in canonical order
@@ -155,8 +153,7 @@ def test_block_building_merges_nonconflicting_groups():
 def test_shared_pivot_resolution_matches_linear_scan():
     bundles = _pivot_bundles(9, values=list(range(1, 10)))
     block = block_building(bundles, 8, 0, LABEL)
-    by_id = {b.id: b for b in bundles}
-    best = max(by_id, key=lambda i: by_id[i].bid.value)
+    best = max(bundles, key=lambda i: bundles[i].bid.value)
     assert block == (best,)
 
 
@@ -269,6 +266,6 @@ def test_threading_does_not_change_output():
 
     # Witnesses carry per-scenario values and seeds, so a pool that
     # collected in completion order would reorder them.
-    sweeps = [compare_sweep("stress-large-groups", 12, 121, t) for t in (1, 8)]
+    sweeps = [compare_sweep(PROFILES["stress-large-groups"], 12, 121, t) for t in (1, 8)]
     assert sweeps[0].details["witness_count"] >= 2
     assert sweeps[0].details == sweeps[1].details

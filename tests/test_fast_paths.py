@@ -103,7 +103,9 @@ SCENARIOS = {
 
 def _reporting(scenario, bids):
     """The scenario with `bids` stated through `model.with_bids`."""
-    return replace(scenario, bundles=tuple(with_bids(scenario.bundles, bids).values()))
+    return replace(
+        scenario, bundles=tuple(with_bids(scenario.bundle_map(), bids).values())
+    )
 
 
 def _reference_settlement(scenario, bids=None):
@@ -508,7 +510,7 @@ def test_default_block_is_offered_only_when_label_invariant():
 
 def test_gated_override_runs_match_rebuild():
     scenario = generate_scenario(PROFILES["realistic"], 11)
-    free = conflict_free_set(get_conflict_groups(scenario.bundles))
+    free = conflict_free_set(get_conflict_groups(scenario.bundle_map()))
     first = min(b.id for b in scenario.bundles if b.id not in free)
     scenario = _reporting(
         scenario, {first: GatedBid(builder_label(0), ConstantBid(500.0))}
@@ -530,7 +532,7 @@ def _scan_reference(group, bundles, k_cutoff, seed, coinbase, bids=None):
     objective with its bid zeroed."""
     reported = rebid(bundles, bids)
     group_bundles = {i: reported[i] for i in group.members}
-    members = group.sorted_members()
+    members = group.members
     best, best_value = None, 0.0
     without_block = {i: None for i in members}
     without_value = {i: 0.0 for i in members}
@@ -775,7 +777,7 @@ def _walked_groups() -> list:
     for group in get_conflict_groups(bundles):
         if len(group) < 2:
             continue
-        members = "-".join(map(str, group.sorted_members()))
+        members = "-".join(map(str, group.members))
         cases.append(
             (f"realistic-17/{members}", bundles, group, scenario.k_cutoff,
              scenario.seed, Strategy.ENUMERATED)

@@ -6,7 +6,7 @@ import pytest
 from fractions import Fraction
 
 from blockmech import harness
-from blockmech.baselines import greedy_by_bid, greedy_by_density
+from blockmech.baselines import compare_algorithms, greedy_by_bid, greedy_by_density
 from blockmech.conflict import get_conflict_groups
 from blockmech.default_algo import block_building, counterfactual_blocks
 from blockmech.fixtures import (
@@ -56,8 +56,6 @@ LABEL = CoinbaseLabel("test")
 
 class _OverbidCopy(BuilderAlgorithm):
     """Copies the default block and adds a fixed premium to its value."""
-
-    name = "overbid-copy"
 
     def __init__(self, premium: float):
         self.premium = premium
@@ -196,8 +194,6 @@ def test_refunds_identical_whichever_case_fires(example2):
 
 
 class _BrokenBuilder(BuilderAlgorithm):
-    name = "broken"
-
     def __init__(self, mode: str):
         self.mode = mode
 
@@ -304,12 +300,12 @@ def test_searcher_utility_reads_the_valuation_whatever_the_map_bids(example2):
     reported = rebid_scenario(example2, {1: truth.scaled(0.5)})
     outcome = run_mechanism(reported)
     ctx = canonical_context(
-        outcome.final_block, 1, reported.bundles, outcome.final_coinbase
+        outcome.final_block, 1, reported.bundle_map(), outcome.final_coinbase
     )
     entry = outcome.searcher_ledger[1]
     assert entry.charge == truth.scaled(0.5).evaluate(ctx) < truth.evaluate(ctx)
     expected = truth.evaluate(ctx) - entry.charge + entry.refund
-    valued = rebid(example2.bundles, {1: truth})
+    valued = rebid(example2.bundle_map(), {1: truth})
     for bundles in (reported.bundle_map(), example2.bundle_map(), valued):
         assert searcher_utility(1, outcome, bundles) == expected
 
@@ -358,6 +354,26 @@ def test_builder_prime_defaults_to_zero_with_single_builder(example2):
     # effective winner payment is max(beta0, 0) = beta0
     entry = outcome.builder_ledger[0]
     assert entry.payment - entry.refund == outcome.beta0
+
+
+def test_amounts_over_no_bundles_are_floats():
+    # Every sum of amounts starts at 0.0, so a report never prints the int 0.
+    empty = make_scenario()
+    label = one_time_label(empty.seed)
+    outcome = run_mechanism(empty)
+    report = compare_algorithms(empty)
+    amounts = {
+        "beta0": outcome.beta0,
+        "proposer_revenue": outcome.proposer_revenue,
+        "total_inflow": outcome.total_inflow,
+        "total_outflow": outcome.total_outflow,
+        "block_total_bid": block_total_bid((), {}, label),
+        "oracle proposer_revenue": vcg_outcome({}, label).proposer_revenue,
+        "compare default": report.values["default"],
+        "compare gap_absolute": report.gap_absolute,
+    }
+    assert {k: type(v) for k, v in amounts.items()} == dict.fromkeys(amounts, float)
+    assert set(amounts.values()) == {0.0}
 
 
 @pytest.mark.parametrize("index", range(8))

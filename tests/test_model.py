@@ -102,7 +102,7 @@ def test_with_bids_replaces_only_the_listed_bids():
     for field in ("id", "txs", "reads", "writes", "gate", "valuation", "footprint", "weight"):
         assert getattr(out[1], field) == getattr(bundles[1], field), field
     assert bundles[1].bid == ConstantBid(7.0)  # the input map is not changed
-    assert with_bids(tuple(bundles.values()), {})[1] is bundles[1]
+    assert with_bids(bundles, {})[1] is bundles[1]
     with pytest.raises(ModelError, match="no bundle 99"):
         with_bids(bundles, {99: ConstantBid(1.0)})
 

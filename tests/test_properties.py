@@ -77,8 +77,6 @@ def scenarios(draw):
 
 
 class _OverbidCopy(BuilderAlgorithm):
-    name = "overbid-copy"
-
     def produce(self, bundles, env):
         block = block_building(bundles, env.k_cutoff, env.seed, env.label)
         return block, block_total_bid(block, bundles, env.label) + 3.0

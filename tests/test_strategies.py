@@ -72,8 +72,6 @@ class _PunishingBuilder(BuilderAlgorithm):
     """Non-truthful competitor that keys its block on the subject's bid:
     excludes the subject when it bids high, and overbids enough to win."""
 
-    name = "punishing"
-
     def __init__(self, subject: int):
         self.subject = subject
 
@@ -125,6 +123,14 @@ def test_builder_sweep_second_price_dominance():
     assert report.dominant
     # overbids still pay the reserve; underbids below it forfeit the win
     assert max(report.deviations.values()) <= 20
+
+
+def test_builder_sweep_refuses_a_missing_builder():
+    scenario = make_scenario(
+        make_bundle(1, 3, writes={key("k")}), builders=(BuilderSpec("empty"),)
+    )
+    with pytest.raises(ValueError, match=r"^no builder at index 3$"):
+        builder_deviation_sweep(scenario, 3)
 
 
 def test_builder_below_reserve_cannot_profit_by_overbidding():
@@ -302,6 +308,15 @@ def test_sybil_rejects_mismatched_split():
         )
 
 
+def test_sybil_rejects_split_missing_the_subject_reads():
+    subject = make_bundle(1, 30, writes={key("a")}, reads={key("r")})
+    scenario = make_scenario(subject, make_bundle(2, 1, writes={key("c")}))
+    with pytest.raises(
+        ValueError, match=r"^split parts must jointly cover the subject's reads$"
+    ):
+        sybil_demo(scenario, 1, (make_bundle(11, 30, writes={key("a")}),))
+
+
 def test_adoption_no_conflict_pays_proposer_nothing():
     bundles = [make_bundle(i, v, writes={key(f"x{i}")}) for i, v in ((1, 3), (2, 5), (3, 7))]
     report = adoption_game(make_scenario(*bundles))
@@ -354,8 +369,6 @@ class _OffsetBidBuilder(BuilderAlgorithm):
 
 class _FixedBuilder(BuilderAlgorithm):
     """A precomputed block at a fixed bid (the collusion demo's colluder)."""
-
-    name = "fixed"
 
     def __init__(self, block, bid: float):
         self.block = block
@@ -562,8 +575,8 @@ def test_oracle_check_fails_with_one_line_per_scenario(monkeypatch):
         harness, "vcg_outcome", lambda bundles, coinbase: SimpleNamespace(total_bid=7.0)
     )
     assert harness.verify_oracle_equivalence(2, 0).failures == (
-        "scenario 0: default 0 != oracle 7.0",
-        "scenario 1: default 0 != oracle 7.0",
+        "scenario 0: default 0.0 != oracle 7.0",
+        "scenario 1: default 0.0 != oracle 7.0",
     )
 
 

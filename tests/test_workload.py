@@ -20,14 +20,14 @@ from blockmech.workload import (
 
 def test_all_singletons_profile():
     scenario = generate_scenario(PROFILES["no-conflict"], 1)
-    groups = get_conflict_groups(scenario.bundles)
+    groups = get_conflict_groups(scenario.bundle_map())
     assert len(groups) == len(scenario.bundles) == 20
     assert all(len(g) == 1 for g in groups)
 
 
 def test_full_conflict_is_one_group():
     scenario = generate_scenario(PROFILES["full-conflict"], 1)
-    groups = get_conflict_groups(scenario.bundles)
+    groups = get_conflict_groups(scenario.bundle_map())
     assert len(groups) == 1
     assert len(groups[0]) == len(scenario.bundles)
 
@@ -84,7 +84,7 @@ def test_shared_pivot_stamp_classifies():
         bid_model="table",
     )
     scenario = generate_scenario(profile, 4)
-    groups = get_conflict_groups(scenario.bundles)
+    groups = get_conflict_groups(scenario.bundle_map())
     assert len(groups) == 1
     plan = _plan(groups[0], scenario.bundle_map(), scenario.k_cutoff, scenario.seed)
     assert plan[0] is Strategy.SHARED_PIVOT
@@ -100,7 +100,7 @@ def test_same_target_stamp_classifies():
         bid_model="table",
     )
     scenario = generate_scenario(profile, 4)
-    groups = get_conflict_groups(scenario.bundles)
+    groups = get_conflict_groups(scenario.bundle_map())
     plan = _plan(groups[0], scenario.bundle_map(), scenario.k_cutoff, scenario.seed)
     assert plan[0] is Strategy.SAME_TARGET
 
@@ -117,7 +117,7 @@ def test_zero_weight_sizes_are_never_drawn():
     # remainder becomes one group, as when no size fits.
     profile = Profile(name="zero-weight", n_bundles=7, group_sizes={1: 0.0, 5: 1.0})
     for seed in range(5):
-        groups = get_conflict_groups(generate_scenario(profile, seed).bundles)
+        groups = get_conflict_groups(generate_scenario(profile, seed).bundle_map())
         assert sorted(len(g) for g in groups) == [2, 5]
 
 
@@ -151,5 +151,5 @@ def test_profile_file_roundtrip(tmp_path):
     profile = load_profile(str(path))
     scenario = generate_scenario(profile, 3)
     assert len(scenario.bundles) == 4
-    groups = get_conflict_groups(scenario.bundles)
+    groups = get_conflict_groups(scenario.bundle_map())
     assert all(len(g) == 2 for g in groups)
