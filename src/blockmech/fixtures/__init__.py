@@ -1,7 +1,26 @@
 """Built-in fixture scenarios used by the demos, docs, and tests.
 
-Each fixture is one scenario file in this package, so every one of them can
-also be run with the CLI (`blockmech mechanism <this dir>/example2.json`).
+Each fixture is one scenario file in this package, loaded by name with
+`load_fixture`, so every one of them can also be run with the CLI
+(`blockmech mechanism <this dir>/example2.json`):
+
+- `example2`: two position-dependent bundles contesting one pool. Bundle 1
+  pays 40 at the head of the block and 100 after bundle 2; bundle 2 pays 50
+  at the head and 80 after bundle 1. The best block is [2, 1] worth 150,
+  with refunds 70 and 50 and 30 left for the proposer.
+- `deficit`: two mutually exclusive transactions, bids 100 and 1, plus one
+  builder that always picks the smallest-hash tx and one that picks the
+  largest. A mechanism that insisted on exact marginal refunds AND
+  second-price builder charging would refund 99 while collecting 1 here;
+  the real mechanism stays balanced on the same input.
+- `collusion`: the example-2 core plus one dominated honest builder, so the
+  default strictly outperforms every registered algorithm. The colluding
+  builder is injected by the demo, not by the scenario.
+- `integration`: a conflict-free bundle alongside a contested pair, with
+  one competitive builder and one dominated stub: the smallest scenario
+  where the participate-vs-integrate table is non-trivial.
+- `sybil` and `sybil-split`: a refund-splitting demonstration, before and
+  after the split; see `sybil_fixture`.
 """
 
 from __future__ import annotations
@@ -16,41 +35,6 @@ FIXTURE_DIR = Path(__file__).parent
 
 def load_fixture(name: str) -> Scenario:
     return load_scenario(FIXTURE_DIR / f"{name}.json")
-
-
-def example2_scenario() -> Scenario:
-    """Two position-dependent bundles contesting one pool.
-
-    Bundle 1 pays 40 at the head of the block and 100 after bundle 2;
-    bundle 2 pays 50 at the head and 80 after bundle 1. The best block is
-    [2, 1] worth 150, with refunds 70 and 50 and 30 left for the proposer.
-    """
-    return load_fixture("example2")
-
-
-def deficit_scenario() -> Scenario:
-    """Two mutually exclusive transactions, bids 100 and 1, plus one builder
-    that always picks the smallest-hash tx and one that picks the largest.
-
-    A mechanism that insisted on exact marginal refunds AND second-price
-    builder charging would refund 99 while collecting 1 here; the real
-    mechanism stays balanced on the same input.
-    """
-    return load_fixture("deficit")
-
-
-def collusion_scenario() -> Scenario:
-    """Example-2 core plus one dominated honest builder, so the default
-    strictly outperforms every registered algorithm. The colluding builder
-    is injected by the demo, not by the scenario."""
-    return load_fixture("collusion")
-
-
-def integration_fixture() -> Scenario:
-    """A conflict-free bundle alongside a contested pair, with one competitive
-    builder and one dominated stub: the smallest scenario where the
-    participate-vs-integrate table is non-trivial."""
-    return load_fixture("integration")
 
 
 def sybil_fixture() -> tuple:

@@ -1,14 +1,14 @@
 """Randomized sweeps behind the `verify`, `compare`, and `game` commands.
 
-Every sweep is a pure function of (count, base seed): scenario i uses a seed
-derived arithmetically from the base, profiles rotate by index, and subjects
-are drawn from a per-scenario RNG. Failures carry enough detail to replay
-the offending scenario.
+Every sweep is a pure function of (count, base seed): case i is drawn from a
+seed derived arithmetically from the base, profiles and line-ups rotate by
+index, and subjects come from a per-case RNG. A sweep draws all its cases
+first, in index order, then checks them; a failure line names its case as
+`scenario i`, which the same (count, seed) redraws.
 
-The per-scenario loops of the `verify_*` sweeps and of `compare_sweep` are
-the package's only `model.ordered_map` call sites: `threads` sizes the pool
-over scenarios, and results are collected in index order, so the thread
-count never changes a result. Everything below a scenario runs sequentially.
+`_sweep` and `compare_sweep` are the package's only `model.ordered_map` call
+sites: `threads` sizes the pool over the drawn cases, and results are
+collected in case order, so the thread count never changes a result.
 """
 
 from __future__ import annotations
@@ -82,25 +82,29 @@ class HarnessResult:
         return not self.failures
 
 
-def _mixed_scenario(index: int, base_seed: int) -> Scenario:
-    names = ("realistic", "no-conflict", "full-conflict", "stress-large-groups")
-    profile = PROFILES[names[index % len(names)]]
-    scenario = generate_scenario(profile, _subseed(base_seed, index))
-    return with_builders(scenario, _BUILDER_ROTATION[index % len(_BUILDER_ROTATION)])
+def _drawn(profile: Profile, seed: int, index: int, lineup=()) -> Scenario:
+    """Scenario `index` of the sweep with base `seed`, `lineup` its builders."""
+    return with_builders(generate_scenario(profile, _subseed(seed, index)), lineup)
 
 
-def _failures(check, items, threads: int) -> tuple:
-    """Run `check` on every item, `threads` at a time, and concatenate the
-    failure lists it returns in item order."""
-    return tuple(f for fs in ordered_map(check, items, threads) for f in fs)
+def _sweep(name: str, cases: list, check, threads: int = 1) -> HarnessResult:
+    """Run `check(scenario, *subject)` on every drawn case
+    `(index, scenario, *subject)`, `threads` at a time, and prefix each
+    failure line it returns with its case's index, in case order."""
+
+    def failures(index, *subject) -> list:
+        return [f"scenario {index}: {line}" for line in check(*subject)]
+
+    results = ordered_map(lambda case: failures(*case), cases, threads)
+    return HarnessResult(name, len(cases), tuple(f for fs in results for f in fs), {})
 
 
-def _gains(index: int, who: str, report) -> list:
+def _gains(who: str, report) -> list:
     """The failure line of a deviation verdict that is not dominant."""
     if report.dominant:
         return []
     return [
-        f"scenario {index}: {who} gains via {report.witness} "
+        f"{who} gains via {report.witness} "
         f"({report.truthful_utility} -> {report.best_deviation_utility})"
     ]
 
@@ -108,60 +112,64 @@ def _gains(index: int, who: str, report) -> list:
 def verify_budget_and_refunds(n: int, seed: int, threads: int = 1) -> HarnessResult:
     """Every refund non-negative and total outflows within total inflows,
     over mixed profiles with 0-3 registered builders."""
+    names = ("realistic", "no-conflict", "full-conflict", "stress-large-groups")
+    cases = [
+        (i, _drawn(PROFILES[names[i % len(names)]], seed, i,
+                   _BUILDER_ROTATION[i % len(_BUILDER_ROTATION)]))
+        for i in range(n)
+    ]
 
-    def check(i: int) -> list:
-        outcome = run_mechanism(_mixed_scenario(i, seed))
+    def check(scenario) -> list:
+        outcome = run_mechanism(scenario)
         failures = []
         bad_refund = [
             j for j, e in outcome.searcher_ledger.items() if e.refund < 0
         ] + [j for j, e in outcome.builder_ledger.items() if e.refund < 0]
         if bad_refund:
-            failures.append(f"scenario {i}: negative refund for {bad_refund}")
+            failures.append(f"negative refund for {bad_refund}")
         if outcome.total_outflow > outcome.total_inflow + ABS_TOLERANCE:
             failures.append(
-                f"scenario {i}: outflow {outcome.total_outflow} exceeds "
+                f"outflow {outcome.total_outflow} exceeds "
                 f"inflow {outcome.total_inflow}"
             )
         return failures
 
-    return HarnessResult(
-        "budget-and-refunds", n, _failures(check, range(n), threads), {}
-    )
+    return _sweep("budget-and-refunds", cases, check, threads)
 
 
 def verify_searcher_dsic(n: int, seed: int, threads: int = 1) -> HarnessResult:
     """Searcher truthfulness when the default algorithm dominates: builders
     restricted to dominated stubs, one randomly designated subject each."""
-
-    def check(i: int) -> list:
+    cases = []
+    for i in range(n):
         profile = _SWEEP_PROFILE if i % 2 == 0 else PROFILES["full-conflict"]
-        scenario = generate_scenario(profile, _subseed(seed, i))
-        scenario = with_builders(scenario, _DOMINATED_STUBS)
+        scenario = _drawn(profile, seed, i, _DOMINATED_STUBS)
         bundles = scenario.bundle_map()
         core = sorted(set(bundles) - conflict_free_set(get_conflict_groups(bundles)))
-        rng = random.Random(_subseed(seed, i) ^ 0x5EED)
+        rng = random.Random(scenario.seed ^ 0x5EED)
         pool = core if core else sorted(bundles)
-        subject = pool[rng.randrange(len(pool))]
-        report = searcher_deviation_sweep(scenario, subject)
-        return _gains(i, f"searcher {subject}", report)
+        cases.append((i, scenario, pool[rng.randrange(len(pool))]))
 
-    return HarnessResult("dsic-searcher", n, _failures(check, range(n), threads), {})
+    def check(scenario, subject) -> list:
+        return _gains(f"searcher {subject}", searcher_deviation_sweep(scenario, subject))
+
+    return _sweep("dsic-searcher", cases, check, threads)
 
 
 def verify_builder_dsic(n: int, seed: int, threads: int = 1) -> HarnessResult:
     """Builder truthfulness: bid offsets around the truthful block value
     never strictly improve a builder's utility."""
-
-    def check(i: int) -> list:
-        scenario = generate_scenario(_SWEEP_PROFILE, _subseed(seed, i))
+    cases = []
+    for i in range(n):
         lineup = _BUILDER_DSIC_LINEUPS[i % len(_BUILDER_DSIC_LINEUPS)]
-        scenario = with_builders(scenario, lineup)
-        rng = random.Random(_subseed(seed, i) ^ 0xB1D)
-        subject = rng.randrange(len(scenario.builders))
-        report = builder_deviation_sweep(scenario, subject)
-        return _gains(i, f"builder {subject}", report)
+        scenario = _drawn(_SWEEP_PROFILE, seed, i, lineup)
+        rng = random.Random(scenario.seed ^ 0xB1D)
+        cases.append((i, scenario, rng.randrange(len(scenario.builders))))
 
-    return HarnessResult("dsic-builder", n, _failures(check, range(n), threads), {})
+    def check(scenario, subject) -> list:
+        return _gains(f"builder {subject}", builder_deviation_sweep(scenario, subject))
+
+    return _sweep("dsic-builder", cases, check, threads)
 
 
 def verify_integration(n: int, seed: int, threads: int = 1) -> HarnessResult:
@@ -169,79 +177,70 @@ def verify_integration(n: int, seed: int, threads: int = 1) -> HarnessResult:
     misreporting nor integrating ever beats participate-and-bid-truthfully
     in joint utility.
 
-    Scenarios without a conflict-free bundle are skipped, so the draw of
-    scenarios, subjects and builders is sequential; only the games run on
-    the pool."""
-    games = []  # (attempt index, scenario, subject, builder)
+    Scenarios without a conflict-free bundle are skipped, so a case's index
+    is the attempt that drew it, and fewer than `n` cases are checked when
+    `10 * n` attempts do not find `n`."""
+    cases = []
     attempt = 0
-    while len(games) < n and attempt < 10 * n:
-        scenario = generate_scenario(_SWEEP_PROFILE, _subseed(seed, attempt))
+    while len(cases) < n and attempt < 10 * n:
+        lineup = _INTEGRATION_LINEUPS[len(cases) % len(_INTEGRATION_LINEUPS)]
+        scenario = _drawn(_SWEEP_PROFILE, seed, attempt, lineup)
         attempt += 1
         free = sorted(conflict_free_set(get_conflict_groups(scenario.bundle_map())))
         if not free:
             continue
-        lineup = _INTEGRATION_LINEUPS[len(games) % len(_INTEGRATION_LINEUPS)]
-        scenario = with_builders(scenario, lineup)
         rng = random.Random(_subseed(seed, attempt) ^ 0x1A7E)
         subject = free[rng.randrange(len(free))]
         builder = rng.randrange(len(scenario.builders))
-        games.append((attempt - 1, scenario, subject, builder))
+        cases.append((attempt - 1, scenario, subject, builder))
 
-    def check(game) -> list:
-        index, scenario, subject, builder = game
+    def check(scenario, subject, builder) -> list:
         report = integration_game(scenario, subject, builder)
-        return _gains(index, f"pair ({subject}, builder {builder})", report)
+        return _gains(f"pair ({subject}, builder {builder})", report)
 
-    return HarnessResult(
-        "integration", len(games), _failures(check, games, threads), {}
-    )
+    return _sweep("integration", cases, check, threads)
 
 
 def verify_oracle_equivalence(n: int, seed: int) -> HarnessResult:
     """On single-group instances small enough for the exact oracle, the
     default algorithm's block value equals the exact optimum."""
-    failures = []
+    cases = []
     for i in range(n):
         m = 2 + i % 5  # 2..6 bundles, one conflict group
         profile = Profile(
             name="one-group", n_bundles=m, group_sizes={m: 1.0}, bid_model="table"
         )
-        scenario = generate_scenario(profile, _subseed(seed, i))
+        cases.append((i, _drawn(profile, seed, i)))
+
+    def check(scenario) -> list:
         bundles = scenario.bundle_map()
         coinbase = one_time_label(scenario.seed)
         built = block_building(bundles, scenario.k_cutoff, scenario.seed, coinbase)
         value = block_total_bid(built, bundles, coinbase)
         exact = vcg_outcome(bundles, coinbase).total_bid
-        if value != exact:
-            failures.append(f"scenario {i}: default {value} != oracle {exact}")
-    return HarnessResult("oracle-equivalence", n, tuple(failures), {})
+        return [] if value == exact else [f"default {value} != oracle {exact}"]
+
+    return _sweep("oracle-equivalence", cases, check)
 
 
 def compare_sweep(profile: Profile, n: int, seed: int, threads: int = 1) -> HarnessResult:
     """Fraction of scenarios where the default block is the best among the
     compared algorithms, plus witnesses where it is not."""
-
-    def compare(i: int) -> tuple:
-        scenario = generate_scenario(profile, _subseed(seed, i))
-        return scenario.seed, compare_algorithms(scenario)
-
-    best_count = 0
-    witnesses = []
-    for scenario_seed, report in ordered_map(compare, range(n), threads):
-        if report.default_is_best:
-            best_count += 1
-        else:
-            witnesses.append(
-                {
-                    "seed": scenario_seed,
-                    "values": report.values,
-                    "gap_absolute": report.gap_absolute,
-                    "gap_relative": report.gap_relative,
-                }
-            )
+    scenarios = [_drawn(profile, seed, i) for i in range(n)]
+    reports = ordered_map(compare_algorithms, scenarios, threads)
+    witnesses = [
+        {
+            "seed": scenario.seed,
+            "values": report.values,
+            "gap_absolute": report.gap_absolute,
+            "gap_relative": report.gap_relative,
+        }
+        for scenario, report in zip(scenarios, reports)
+        if not report.default_is_best
+    ]
     details = {
         "profile": profile.name,
-        "default_best_fraction": best_count / n if n else 1.0,
+        "default_best_fraction": (n - len(witnesses)) / n if n else 1.0,
         "witnesses": witnesses[:5],
         "witness_count": len(witnesses),
     }
@@ -251,25 +250,26 @@ def compare_sweep(profile: Profile, n: int, seed: int, threads: int = 1) -> Harn
 def adoption_sweep(n: int, seed: int) -> HarnessResult:
     """Commit is weakly optimal on both extreme conflict structures, with
     the full-conflict proposer payoff equal to the second-highest value."""
-    failures = []
+    cases = []
     for i in range(n):
-        if i % 2 == 0:
-            profile = replace(PROFILES["no-conflict"], n_bundles=3 + i % 6)
-            scenario = generate_scenario(profile, _subseed(seed, i))
-            report = adoption_game(scenario)
+        mode = "no-conflict" if i % 2 == 0 else "full-conflict"
+        size = 3 + i % 6 if i % 2 == 0 else 2 + i % 5
+        cases.append((i, _drawn(replace(PROFILES[mode], n_bundles=size), seed, i), mode))
+
+    def check(scenario, mode) -> list:
+        report = adoption_game(scenario)
+        if mode == "no-conflict":
             if report.commit_proposer != 0.0 or report.best_alternative_proposer != 0.0:
-                failures.append(f"scenario {i}: nonzero proposer under no-conflict")
-        else:
-            profile = replace(PROFILES["full-conflict"], n_bundles=2 + i % 5)
-            scenario = generate_scenario(profile, _subseed(seed, i))
-            report = adoption_game(scenario)
-            if report.commit_proposer != report.second_highest_valuation:
-                failures.append(
-                    f"scenario {i}: commit pays {report.commit_proposer}, "
-                    f"expected {report.second_highest_valuation}"
-                )
-            if not report.commit_weakly_optimal:
-                failures.append(
-                    f"scenario {i}: partition {report.witness_partition} beats commit"
-                )
-    return HarnessResult("adoption", n, tuple(failures), {})
+                return ["nonzero proposer under no-conflict"]
+            return []
+        failures = []
+        if report.commit_proposer != report.second_highest_valuation:
+            failures.append(
+                f"commit pays {report.commit_proposer}, "
+                f"expected {report.second_highest_valuation}"
+            )
+        if not report.commit_weakly_optimal:
+            failures.append(f"partition {report.witness_partition} beats commit")
+        return failures
+
+    return _sweep("adoption", cases, check)

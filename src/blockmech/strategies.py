@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .conflict import conflicts, get_conflict_groups
-from .fixtures import collusion_scenario, deficit_scenario, sybil_fixture
+from .fixtures import load_fixture, sybil_fixture
 from .mechanism import (
     BuilderEntry,
     alternative_refund,
@@ -211,7 +211,7 @@ def collusion_demo(scenario: Optional[Scenario] = None) -> CollusionReport:
     epsilon.
     """
     if scenario is None:
-        scenario = collusion_scenario()
+        scenario = load_fixture("collusion")
     bundles = scenario.bundle_map()
     prepared = prepare(scenario)
     entries = compete(prepared, None)
@@ -308,7 +308,7 @@ def budget_deficit_demo() -> DeficitReport:
     each bundle its full marginal contribution across all algorithms; on
     the fixture it collects 1 and pays 99. The deployed run balances.
     """
-    scenario = deficit_scenario()
+    scenario = load_fixture("deficit")
     bundles = scenario.bundle_map()
     actual = run_mechanism(scenario)
     refunds = {}

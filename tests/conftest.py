@@ -102,6 +102,6 @@ def canonical_context(block, subject: int, bundles: dict, coinbase) -> Execution
 
 @pytest.fixture
 def example2():
-    from blockmech.fixtures import example2_scenario
+    from blockmech.fixtures import load_fixture
 
-    return example2_scenario()
+    return load_fixture("example2")

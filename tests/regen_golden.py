@@ -98,6 +98,22 @@ def _cases() -> dict:
     cases["build-counterfactuals-one-bundle-json"] = (
         "build", "{inputs}/one-bundle.json", "--counterfactuals", *json_format
     )
+    # The adoption game on one scenario of each extreme conflict structure,
+    # as `gen --profile <structure> --seed 1` writes it.
+    for structure in ("full-conflict", "no-conflict"):
+        path = f"{{inputs}}/{structure}-1.json"
+        cases[f"game-adoption-{structure}"] = ("game", "adoption", path, *table)
+        cases[f"game-adoption-{structure}-json"] = ("game", "adoption", path, *json_format)
+    # Label-dependent bids on one key: a bid gated to builder-0, a bundle
+    # gated to builder-1 and a table-bid reader. copy-default and
+    # half-default each rebuild the default block under their own label,
+    # and the second price is not integral (52.5).
+    gated = "{inputs}/gated.json"
+    cases["mechanism-gated"] = ("mechanism", gated, *table)
+    cases["mechanism-gated-json"] = ("mechanism", gated, *json_format)
+    cases["build-counterfactuals-gated-json"] = (
+        "build", gated, "--counterfactuals", *json_format
+    )
     # Refusals that end in exit 2 and one line on stderr; tests/test_cli.py
     # checks the usage errors.
     cases["error-oracle-too-large"] = ("oracle", "{inputs}/stress-4.json")

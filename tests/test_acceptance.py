@@ -17,10 +17,11 @@ from fractions import Fraction
 from blockmech.cli import main
 from blockmech.conflict import get_conflict_groups
 from blockmech.default_algo import resolve_group
-from blockmech.fixtures import FIXTURE_DIR, example2_scenario
+from blockmech.fixtures import FIXTURE_DIR, load_fixture
 from blockmech.harness import (
     HarnessResult,
-    _subseed,
+    _drawn,
+    _sweep,
     adoption_sweep,
     compare_sweep,
     verify_budget_and_refunds,
@@ -36,7 +37,7 @@ from blockmech.strategies import (
     budget_deficit_demo,
     collusion_demo,
 )
-from blockmech.workload import PROFILES, Profile, generate_scenario
+from blockmech.workload import PROFILES, Profile
 
 EXAMPLE2 = str(FIXTURE_DIR / "example2.json")
 
@@ -63,7 +64,7 @@ def test_criterion_01_reference_table_reproduction(capsys):
     t0 = time.perf_counter()
     code = main(["oracle", EXAMPLE2])
     out = capsys.readouterr().out
-    scenario = example2_scenario()
+    scenario = load_fixture("example2")
     outcome = vcg_outcome(scenario.bundle_map(), one_time_label(scenario.seed))
     ok = (
         code == 0
@@ -201,13 +202,16 @@ def test_criterion_09_adoption_equilibrium():
 def verify_candidate_independence(n: int, seed: int) -> HarnessResult:
     """The enumeration transcript a group resolution consumes is identical
     under two unrelated bid profiles."""
-    failures = []
-    for i in range(n):
-        profile = PROFILES["realistic" if i % 2 == 0 else "stress-large-groups"]
-        scenario = generate_scenario(profile, _subseed(seed, i))
+    cases = [
+        (i, _drawn(PROFILES["realistic" if i % 2 == 0 else "stress-large-groups"], seed, i))
+        for i in range(n)
+    ]
+
+    def check(scenario) -> list:
         bundles = scenario.bundle_map()
         coinbase = one_time_label(scenario.seed)
-        rng = random.Random(_subseed(seed, i) ^ 0xCA9D)
+        rng = random.Random(scenario.seed ^ 0xCA9D)
+        failures = []
         profile_a = {
             j: replace(b, bid=ConstantBid(float(rng.randint(0, 500))))
             for j, b in bundles.items()
@@ -229,10 +233,12 @@ def verify_candidate_independence(n: int, seed: int) -> HarnessResult:
             )
             if seen_a != seen_b:
                 failures.append(
-                    f"scenario {i}: group {sorted(group.members)} enumerated "
+                    f"group {sorted(group.members)} enumerated "
                     "different candidate sets under different bids"
                 )
-    return HarnessResult("candidate-independence", n, tuple(failures), {})
+        return failures
+
+    return _sweep("candidate-independence", cases, check)
 
 
 def test_criterion_10_candidate_set_bid_independence():

@@ -40,12 +40,7 @@ from blockmech.default_algo import (
     resolve_group,
     resolve_group_with_counterfactuals,
 )
-from blockmech.fixtures import (
-    collusion_scenario,
-    deficit_scenario,
-    example2_scenario,
-    integration_fixture,
-)
+from blockmech.fixtures import load_fixture
 from blockmech.mechanism import (
     BuilderAlgorithm,
     instantiate_builders,
@@ -89,10 +84,10 @@ SETTLE_SHAPED = Profile(
 )
 
 SCENARIOS = {
-    "example2": example2_scenario,
-    "deficit": deficit_scenario,
-    "collusion": collusion_scenario,
-    "integration": integration_fixture,
+    "example2": lambda: load_fixture("example2"),
+    "deficit": lambda: load_fixture("deficit"),
+    "collusion": lambda: load_fixture("collusion"),
+    "integration": lambda: load_fixture("integration"),
     "realistic-3": lambda: generate_scenario(PROFILES["realistic"], 3),
     "realistic-17": lambda: generate_scenario(PROFILES["realistic"], 17),
     "stress-2": lambda: generate_scenario(PROFILES["stress-large-groups"], 2),
@@ -486,14 +481,14 @@ def _offered_default(scenario):
 
 
 def test_default_block_is_offered_only_when_label_invariant():
-    offered, outcome = _offered_default(example2_scenario())
+    offered, outcome = _offered_default(load_fixture("example2"))
     assert offered == outcome.default_block == (2, 1)
     gated_bid = {1: GatedBid(GATE, ConstantBid(1.0))}
-    assert _offered_default(_reporting(example2_scenario(), gated_bid))[0] is None
+    assert _offered_default(_reporting(load_fixture("example2"), gated_bid))[0] is None
 
     # The integration fixture with a gated core bundle: reuse must not
     # apply, and the builders rebuild under their own labels.
-    fixture = integration_fixture()
+    fixture = load_fixture("integration")
     core_gated = _gate(fixture, 1, GATE)
     assert _offered_default(core_gated)[0] is None
     # Integrating the conflict-free bundle (what the integration sweeps do)

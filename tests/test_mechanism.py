@@ -9,12 +9,7 @@ from blockmech import harness
 from blockmech.baselines import compare_algorithms, greedy_by_bid, greedy_by_density
 from blockmech.conflict import get_conflict_groups
 from blockmech.default_algo import block_building, counterfactual_blocks
-from blockmech.fixtures import (
-    collusion_scenario,
-    deficit_scenario,
-    example2_scenario,
-    integration_fixture,
-)
+from blockmech.fixtures import load_fixture
 from blockmech.mechanism import (
     BUILDER_REGISTRY,
     BuilderAlgorithm,
@@ -257,7 +252,7 @@ def test_conflict_free_bundles_appended_by_hash_and_net_zero():
 
 
 def test_conflict_free_net_zero_even_when_builder_wins():
-    scenario = integration_fixture()
+    scenario = load_fixture("integration")
     outcome = run_mechanism(scenario, builders=[_OverbidCopy(3.0)])
     assert outcome.winning_builder == 0
     for i in outcome.conflict_free:
@@ -311,7 +306,7 @@ def test_searcher_utility_reads_the_valuation_whatever_the_map_bids(example2):
 
 
 def test_conflict_free_truthful_utility_is_valuation():
-    scenario = integration_fixture()
+    scenario = load_fixture("integration")
     outcome = run_mechanism(scenario)
     assert searcher_utility(3, outcome, scenario.bundle_map()) == 25
 
@@ -442,8 +437,8 @@ def _registry_inputs():
     scenarios and an empty core; bids are the declared ones or every core
     bid scaled by a quarter."""
     scenarios = [
-        example2_scenario(), deficit_scenario(), collusion_scenario(),
-        integration_fixture(),
+        load_fixture("example2"), load_fixture("deficit"), load_fixture("collusion"),
+        load_fixture("integration"),
     ] + [generate_scenario(harness._SWEEP_PROFILE, seed) for seed in range(10)]
     out = [({}, ())]
     for scenario in scenarios:

@@ -6,12 +6,7 @@ import json
 
 import pytest
 
-from blockmech.fixtures import (
-    collusion_scenario,
-    deficit_scenario,
-    example2_scenario,
-    integration_fixture,
-)
+from blockmech.fixtures import load_fixture
 from blockmech.model import CoinbaseLabel, GatedBid, ConstantBid
 from blockmech.scenario_io import (
     ScenarioParseError,
@@ -29,10 +24,10 @@ from conftest import make_bundle, make_scenario
 @pytest.mark.parametrize(
     "scenario",
     [
-        example2_scenario(),
-        deficit_scenario(),
-        collusion_scenario(),
-        integration_fixture(),
+        load_fixture("example2"),
+        load_fixture("deficit"),
+        load_fixture("collusion"),
+        load_fixture("integration"),
         generate_scenario(PROFILES["realistic"], 5),
         generate_scenario(PROFILES["stress-large-groups"], 5),
     ],
@@ -57,7 +52,7 @@ def test_round_trip_preserves_gates(tmp_path):
 
 
 def test_save_is_canonical(tmp_path):
-    scenario = example2_scenario()
+    scenario = load_fixture("example2")
     assert dumps_scenario(scenario) == dumps_scenario(load_scenario_roundtrip(scenario))
 
 
@@ -66,7 +61,7 @@ def load_scenario_roundtrip(scenario):
 
 
 def test_missing_k_cutoff_names_the_field(tmp_path):
-    record = scenario_to_dict(example2_scenario())
+    record = scenario_to_dict(load_fixture("example2"))
     del record["k_cutoff"]
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(record))
@@ -75,7 +70,7 @@ def test_missing_k_cutoff_names_the_field(tmp_path):
 
 
 def test_unknown_bid_variant_named(tmp_path):
-    record = scenario_to_dict(example2_scenario())
+    record = scenario_to_dict(load_fixture("example2"))
     record["bundles"][0]["bid"] = {"variant": "mystery"}
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(record))
@@ -106,7 +101,7 @@ _CONSTANT = {"variant": "constant", "value": 1.0}
     ],
 )
 def test_unknown_field_is_refused_where_it_stands(tmp_path, path, extra, location):
-    record = scenario_to_dict(example2_scenario())
+    record = scenario_to_dict(load_fixture("example2"))
     record["builders"] = [{"name": "copy-default", "params": {}}]
     record["bundles"][0]["valuation"] = dict(_CONSTANT)
     record["bundles"][1]["bid"] = {
@@ -125,7 +120,7 @@ def test_unknown_field_is_refused_where_it_stands(tmp_path, path, extra, locatio
 
 
 def test_error_location_points_at_bundle(tmp_path):
-    record = scenario_to_dict(example2_scenario())
+    record = scenario_to_dict(load_fixture("example2"))
     del record["bundles"][1]["txs"]
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(record))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -10,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from blockmech import harness, strategies
-from blockmech.fixtures import FIXTURE_DIR, integration_fixture, load_fixture
+from blockmech.fixtures import FIXTURE_DIR, load_fixture
 from blockmech.mechanism import (
     BuilderAlgorithm,
     BuilderEntry,
@@ -60,7 +59,7 @@ def test_searcher_sweep_example2_is_dominant(example2):
 
 
 def test_searcher_sweep_conflict_free_dominant_with_builders():
-    scenario = integration_fixture()
+    scenario = load_fixture("integration")
     report = searcher_deviation_sweep(scenario, 3)
     assert report.dominant
     # a conflict-free bundle's utility is pinned at its valuation
@@ -207,7 +206,7 @@ def test_integration_case1_builder_wins():
 
 
 def test_integration_case2_builder_loses():
-    scenario = integration_fixture()
+    scenario = load_fixture("integration")
     report = integration_game(scenario, 3, 1)  # builder 1 is the empty stub
     assert report.truthful_utility == 25  # just the bundle's own valuation
     assert report.dominant
@@ -216,7 +215,7 @@ def test_integration_case2_builder_loses():
 
 
 def test_integration_rejects_core_bundles():
-    scenario = integration_fixture()
+    scenario = load_fixture("integration")
     with pytest.raises(ValueError, match="not conflict-free"):
         integration_game(scenario, 1, 0)
 
@@ -543,16 +542,29 @@ def test_collusion_rows_equal_literal_runs(monkeypatch, profile_name):
     assert checked >= 1
 
 
-def test_every_deviation_verdict_fails_with_one_line_shape(monkeypatch):
-    def losing_game(scenario, i, j):
+# (strategies function, the sweep that calls it, its one failure line at
+# n=1, seed 2). Attempt 0 of seed 2 has no conflict-free bundle, so the
+# integration case is attempt 1, the first that has one.
+_DEVIATION_LINES = (
+    ("searcher_deviation_sweep", "verify_searcher_dsic",
+     "scenario 0: searcher 6 gains via integrate|x (1.0 -> 2.0)"),
+    ("builder_deviation_sweep", "verify_builder_dsic",
+     "scenario 0: builder 1 gains via integrate|x (1.0 -> 2.0)"),
+    ("integration_game", "verify_integration",
+     "scenario 1: pair (7, builder 0) gains via integrate|x (1.0 -> 2.0)"),
+)
+
+
+@pytest.mark.parametrize(
+    "game, sweep, line", _DEVIATION_LINES, ids=[row[0] for row in _DEVIATION_LINES]
+)
+def test_every_deviation_verdict_fails_with_one_line_shape(monkeypatch, game, sweep, line):
+    def losing(scenario, *subject):
         return strategies._verdict(1.0, {"integrate|x": 2.0})
 
-    monkeypatch.setattr(harness, "integration_game", losing_game)
-    (line,) = harness.verify_integration(1, 3).failures
-    assert re.fullmatch(
-        r"scenario \d+: pair \(\d+, builder \d+\) gains via integrate\|x \(1\.0 -> 2\.0\)",
-        line,
-    )
+    monkeypatch.setattr(harness, game, losing)
+    assert getattr(harness, sweep)(1, 2).failures == (line,)
+
 
 
 def test_budget_check_fails_with_one_line_per_breach(monkeypatch, example2):
