@@ -44,11 +44,37 @@ may differ in the last place, so the maximizer returned can differ from a
 full scan's by a rounding artefact. The value reported is always the left-
 to-right float total of the block returned.
 
+The walk is also bound-pruned: it skips every subtree none of whose nodes
+could displace the best block or any member's counterfactual incumbent,
+so it returns what the full walk returns, bit for bit. Each unplaced
+member's bound is the most its bid can still pay below the node: a
+constant (or gated-off) bid's value; for a table bid, the largest of its
+default and every entry whose key its current signature can still grow
+into (the signature itself, or the signature followed by more ids). With
+`top` the node's total plus those bounds, every descendant is worth at most
+`top`; with member q's bid zeroed, at most `top` less q's contribution on
+the path, or less q's bound when q is unplaced. A subtree is walked when
+one of these could displace its incumbent by the walk's own rule: higher,
+or equal and the descendant shorter. So an equal bound prunes unless a
+descendant could be shorter than the incumbent; that is what stops a
+winner-take-all group after each head, where every later bid pays 0.
+Floats: the bounds sum in another order than any path, so when they sum
+to more than 0 `top` is raised by `top * 1e-9`, far above the rounding of
+a few non-negative additions (`model` keeps every bid finite and
+non-negative); when they sum to 0, every descendant adds exact zeros and
+the test stays exact. Since the node itself is scored first, the tie
+clause changes the outcome only where that slack underflows (totals below
+about 2.5e-315); a test pins that case. A subtree with at most two
+unplaced members is walked without a test, which would cost more than it
+saves.
+
 The candidate sub-blocks considered for a group depend only on the group's
 membership, the cutoff, the seed, and the declared transaction structure,
 never on bids. That bid independence is what makes the surrounding refund
 mechanism truthful, and it is asserted by the test suite via enumeration
-transcripts.
+transcripts. The nodes the pruned walk visits do depend on bids, so a call
+that asks for a transcript walks unpruned: its transcript is the candidate
+range in commuting normal form, whatever the bids.
 """
 
 from __future__ import annotations
@@ -133,7 +159,9 @@ def candidate_set(
     lexicographic) defines the tie-breaking rule: the first maximizer wins.
     An enumerated or truncated group's walk scores only the candidates in
     commuting normal form (see the module docstring), which reach the same
-    optimum. Bids are deliberately absent from the signature.
+    optimum; the bound-pruned walk skips those that cannot displace an
+    incumbent, and which those are depends on bids, but the range does not.
+    Bids are deliberately absent from the signature.
     """
     _, pool, shortlist = _plan(group, bundles, k_cutoff, seed)
     yield from _ordered_subsets(pool) if shortlist is None else shortlist
@@ -151,26 +179,32 @@ def _walk(
     is still the first maximizer in canonical order.
 
     The tables are built once up front: gates and gated bids are resolved by
-    `model._bid_lookup`, predecessor filtering works on bitmasks (`affects`)
-    and table lookups reuse interned id strings. Every contribution equals
-    `model.block_bids`'s under `coinbase`; the test suite pins the walk to a
-    `block_bids` scan. The skip masks come from `affects` alone, so the
-    walked nodes do not depend on bids; a skipped child prunes its whole
-    subtree. Each node's table signatures come from the placed path, built
-    once per node. `cur[q]` holds bundle q's contribution on the current
-    path, 0.0 when q is absent. A `transcript` receives the nodes in walk
-    order. Returns (block, value, {id: (block, value with its bid zeroed)}),
-    the dict empty without `counterfactuals`; each value is the
+    `model._bid_lookup` and predecessor filtering works on bitmasks
+    (`affects`). Every contribution equals `model.block_bids`'s under
+    `coinbase`; the test suite pins the walk to a `block_bids` scan. The
+    skip masks come from `affects` alone; a skipped child prunes its whole
+    subtree. Placing a slot appends its id to the signature of each table
+    bid it affects (`readers`), and removing it cuts the id off again.
+    `cur[q]` holds bundle q's contribution on the current path, 0.0 when q
+    is absent. Below a node with at least three unplaced slots, `promising`
+    applies the module docstring's bound test; its bound tables (`_reach`)
+    are built on its first call. A `transcript` turns the test off and
+    receives every node in walk order, so the nodes it lists never depend
+    on bids. Returns (block, value, {id: (block, value with its bid
+    zeroed)}), the dict empty without `counterfactuals`; each value is the
     left-to-right float total of its block.
     """
     ids = sorted(bundles)
-    idstr = [str(i) for i in ids]
     n = len(ids)
+    # Signatures and table keys carry a leading comma per id (",3,5"), so
+    # placing slot s appends tails[s] to the signature of each of its
+    # readers.
+    tails = ["," + str(i) for i in ids]
     const, entries, default = [None] * n, [None] * n, [0.0] * n
     for t, i in enumerate(ids):
         const[t], table, default[t] = _bid_lookup(bundles[i], coinbase)
         if table is not None:
-            entries[t] = dict(table)  # plain dict: faster .get
+            entries[t] = {"," + k if k else k: v for k, v in table.items()}
     eff = [bundles[i].effective_writes(coinbase) for i in ids]
     affects = [
         sum(
@@ -183,14 +217,20 @@ def _walk(
     # indep[a]: the lower slots that commute with a, never placed directly
     # after it. `dep` holds the slots whose swap with a can change a
     # contribution, because one reads the other or a third slot reads both.
+    # readers[a]: the table-bid slots whose signature grows when a is placed.
     indep = [0] * n
-    for a in range(1, n):
+    readers: list = [[] for _ in ids]
+    for a in range(n):
         dep = affects[a]
         for r, mask in enumerate(affects):
             if mask >> a & 1:
                 dep |= mask | 1 << r
+                if entries[r] is not None:
+                    readers[a].append(r)
         indep[a] = ~dep & ((1 << a) - 1)
-    path: list = []  # slots of the current node, in order
+    # sigs[q]: slot q's signature on the current path.
+    sigs = [""] * n
+    reach: list = []  # per slot, signature -> bound; built on first use
     cur = [0.0] * n
     w_block = [()] * n
     w_value = [0.0] * n
@@ -199,6 +239,32 @@ def _walk(
     best_value = 0.0
     if transcript is not None:
         transcript.append(())
+
+    def promising(value: float, rest: tuple, shortest: int) -> bool:
+        """Whether a descendant of the current node (total `value`, slots
+        `rest` unplaced, every descendant at least `shortest` long) could
+        displace the best block or a counterfactual incumbent."""
+        if not reach:
+            reach.extend(
+                {"": const[t]} if table is None else _reach(table, default[t])
+                for t, table in enumerate(entries)
+            )
+        bounds = [reach[q].get(sigs[q], default[q]) for q in rest]
+        extra = sum(bounds)
+        top = value + extra
+        if extra > 0:
+            top += top * 1e-9
+        if top > best_value or (top == best_value and shortest < len(best_block)):
+            return True
+        if counterfactuals:
+            off = cur[:]  # top - off[q] bounds the subtree with q's bid zeroed
+            for q, bound in zip(rest, bounds):
+                off[q] = bound
+            for q in range(n):
+                w = top - off[q]
+                if w > w_value[q] or (w == w_value[q] and shortest < w_len[q]):
+                    return True
+        return False
 
     def visit(
         block: Block, total: float, free: tuple, depth: int, skip: int
@@ -209,9 +275,7 @@ def _walk(
                 continue
             c = const[p]
             if c is None:
-                mask = affects[p]
-                sig = ",".join([idstr[s] for s in path if mask >> s & 1])
-                c = entries[p].get(sig, default[p])
+                c = entries[p].get(sigs[p], default[p])
             node = block + (ids[p],)
             value = total + c
             if transcript is not None:
@@ -227,14 +291,38 @@ def _walk(
                     if w > w_value[q] or (w == w_value[q] and depth < w_len[q]):
                         w_block[q], w_value[q], w_len[q] = node, w, depth
             if depth < n:
-                path.append(p)
-                visit(node, value, free[:k] + free[k + 1:], depth + 1, indep[p])
-                path.pop()
+                tail = tails[p]
+                for q in readers[p]:
+                    sigs[q] += tail
+                # A subtree of at most two slots is walked without a test.
+                rest = free[:k] + free[k + 1:]
+                if (
+                    depth > n - 3
+                    or transcript is not None
+                    or promising(value, rest, depth + 1)
+                ):
+                    visit(node, value, rest, depth + 1, indep[p])
+                cut = -len(tail)
+                for q in readers[p]:
+                    sigs[q] = sigs[q][:cut]
             cur[p] = 0.0
 
     visit((), 0.0, tuple(range(n)), 1, 0)
     without = {ids[q]: (w_block[q], w_value[q]) for q in range(n)}
     return best_block, best_value, without if counterfactuals else {}
+
+
+def _reach(entries: dict, default: float) -> dict:
+    """Signature -> the most a table bid can still pay once its signature
+    is that: the largest of its default and every entry whose key extends
+    the signature by whole ids. The keys carry `_walk`'s leading commas; a
+    signature that no key extends pays the default."""
+    reach: dict = {}
+    for key, value in entries.items():
+        for end in [k for k, ch in enumerate(key) if ch == ","] + [len(key)]:
+            prefix = key[:end]
+            reach[prefix] = max(reach.get(prefix, default), value)
+    return reach
 
 
 def _scan(
@@ -308,9 +396,10 @@ def resolve_group(
     A `transcript` list, when supplied, receives every candidate scored, in
     walk order: for an enumerated or truncated group, the members of
     `candidate_set` in commuting normal form (no adjacent pair with the
-    higher id first that commutes); for a shortcut, the whole list.
-    Comparing transcripts across bid profiles is how the candidate set's
-    bid independence is audited.
+    higher id first that commutes), walked unpruned; for a shortcut, the
+    whole list. Without a transcript the walk prunes by bids, with the same
+    result. Comparing transcripts across bid profiles is how the candidate
+    set's bid independence is audited.
     """
     resolution, _ = _resolve(
         group, bundles, k_cutoff, seed, coinbase, False, transcript

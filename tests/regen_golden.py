@@ -87,6 +87,19 @@ def _cases() -> dict:
     cases["mechanism-realistic-half-default"] = ("mechanism", half, *table)
     cases["mechanism-realistic-half-default-json"] = ("mechanism", half, *json_format)
     cases["compare-realistic-half-default"] = ("compare", half, *table)
+    # The benchmark's enum-deep shape, seed 6: groups of 5, 6, 7 and 9, the
+    # 7-member one winner-take-all, where the walk prunes the most.
+    deep = "{inputs}/enum-deep-6.json"
+    cases["gen-enum-deep-6"] = (
+        "gen", "--profile", "{inputs}/enum-deep.profile.json",
+        "--seed", "6", "--out", "out.json",
+    )
+    for name, argv in (
+        ("mechanism", ("mechanism", deep)),
+        ("build-counterfactuals", ("build", deep, "--counterfactuals")),
+    ):
+        cases[f"{name}-enum-deep-6"] = (*argv, *table)
+        cases[f"{name}-enum-deep-6-json"] = (*argv, *json_format)
     # Sums over nothing: a scenario without bundles, and one whose only
     # bundle has no others to count. Every amount is still a float.
     empty = "{inputs}/empty.json"

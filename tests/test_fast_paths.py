@@ -9,7 +9,9 @@
   `block_bids` scan, and the oracle built on it against a `full_omega` +
   `block_bids` loop;
 - the walk's transcript against the normal forms of `candidate_set`, with
-  commuting bundles derived from the declared read and write sets.
+  commuting bundles derived from the declared read and write sets;
+- the bound-pruned walk against the unpruned walk a transcript asks for,
+  bit for bit on every objective.
 
 Generated bids are integers, so the fast and slow routes must agree
 exactly; the one fractional refund case states its tolerance. The walk
@@ -34,6 +36,7 @@ from blockmech.conflict import ConflictGroup, conflict_free_set, get_conflict_gr
 from blockmech.default_algo import (
     Strategy,
     _plan,
+    _walk,
     block_building,
     candidate_set,
     counterfactual_blocks,
@@ -62,6 +65,7 @@ from blockmech.model import (
     block_total_bid,
     builder_label,
     evaluate_bid,
+    exclusive_bid,
     one_time_label,
     with_bids,
 )
@@ -81,6 +85,18 @@ SETTLE_SHAPED = Profile(
     same_target_rate=0.2,
     bid_model="table",
     builders=("copy-default", "greedy-bid", "greedy-density"),
+)
+
+# The benchmark's enum-deep shape: groups of 5-7 and some of 9-10, so every
+# group strategy occurs and the walks are deep.
+ENUM_SHAPED = Profile(
+    name="enum-shaped",
+    n_bundles=28,
+    group_sizes={5: 0.25, 6: 0.25, 7: 0.3, 9: 0.1, 10: 0.1},
+    shared_pivot_rate=0.2,
+    same_target_rate=0.2,
+    bid_model="table",
+    builders=("copy-default", "greedy-bid"),
 )
 
 SCENARIOS = {
@@ -758,10 +774,28 @@ def test_walk_equals_scan_on_realistic_groups(seed):
     assert strategies == {Strategy.ENUMERATED, Strategy.TRUNCATED}
 
 
+def _exclusive_bundles(values) -> dict:
+    """A winner-take-all group below the cutoff: every bundle writes one
+    contested key and pays its value only at the head of the block."""
+    return {
+        i: make_bundle(i, bid=exclusive_bid(v), writes={KEYS[0]})
+        for i, v in enumerate(values, start=1)
+    }
+
+
+# Distinct and tied heads: after the first member every bid pays 0.
+EXCLUSIVE = (40.0, 70.0, 10.0, 0.0, 70.0, 5.0, 70.0)
+
+
 def _walked_groups() -> list:
     """(id, bundles, group, k_cutoff, seed, strategy): order-sensitive
-    enumerated and truncated groups, and the groups of a generated scenario."""
-    cases = []
+    enumerated and truncated groups, a winner-take-all group, and the groups
+    of a generated scenario."""
+    exclusive = _exclusive_bundles(EXCLUSIVE)
+    cases = [
+        ("exclusive-7", exclusive, ConflictGroup(frozenset(exclusive)), 8, 0,
+         Strategy.ENUMERATED)
+    ]
     for n, k_cutoff in ((5, 8), (6, 8), (9, 7)):
         bundles = _order_sensitive_bundles(random.Random(400 + n), n)
         group = ConflictGroup(frozenset(bundles))
@@ -795,6 +829,97 @@ def test_walk_transcript_is_the_commuting_normal_forms(
         _assert_transcript_holds_normal_forms(
             group, bundles, k_cutoff, seed, label, transcript
         )
+
+
+def _walk_bits(result) -> tuple:
+    block, value, without = result
+    return block, value.hex(), {i: (b, v.hex()) for i, (b, v) in without.items()}
+
+
+def _assert_pruned_walk_is_unpruned(bundles, label):
+    """The bound-pruned walk returns the unpruned walk's best block and
+    value and every member's counterfactual block and value, bit for bit.
+    A transcript turns pruning off."""
+    for counterfactuals in (False, True):
+        full = _walk(bundles, label, counterfactuals, [])
+        assert _walk_bits(_walk(bundles, label, counterfactuals)) == _walk_bits(full)
+
+
+@pytest.mark.parametrize(
+    "profile, seed",
+    [(ENUM_SHAPED, s) for s in range(2, 7)]
+    + [(PROFILES["realistic"], s) for s in (1, 8, 17)]
+    + [(PROFILES["stress-large-groups"], s) for s in (2, 4, 7)],
+    ids=lambda x: x.name if isinstance(x, Profile) else str(x),
+)
+def test_pruned_walk_equals_unpruned_on_generated_groups(profile, seed):
+    # Every pool the default pass walks, with the declared integer bids and
+    # at 0.1 steps.
+    scenario = generate_scenario(profile, seed)
+    bundles = scenario.bundle_map()
+    label = one_time_label(scenario.seed)
+    for group in get_conflict_groups(bundles):
+        _, pool, shortlist = _plan(group, bundles, scenario.k_cutoff, scenario.seed)
+        if shortlist is None:
+            walked = {i: bundles[i] for i in pool}
+            _assert_pruned_walk_is_unpruned(walked, label)
+            fractional = {i: b.bid.scaled(0.1) for i, b in walked.items()}
+            _assert_pruned_walk_is_unpruned(with_bids(walked, fractional), label)
+
+
+PRUNING_GROUPS = {
+    "exclusive-7": lambda: _exclusive_bundles(EXCLUSIVE),
+    "order-sensitive-6": lambda: _order_sensitive_bundles(random.Random(506), 6),
+    "order-sensitive-7": lambda: _order_sensitive_bundles(random.Random(507), 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRUNING_GROUPS))
+def test_pruned_walk_equals_unpruned_under_every_bid_profile(name):
+    bundles = PRUNING_GROUPS[name]()
+    assert _plan(ConflictGroup(frozenset(bundles)), bundles, 8, 0)[0] is (
+        Strategy.ENUMERATED
+    )
+    ids = sorted(bundles)
+    other = builder_label(1)
+    profiles = _bid_profiles(bundles)
+    # Nested gates: each pays only under a label both of its gates match.
+    profiles["nested-gates"] = {
+        ids[0]: GatedBid(GATE, GatedBid(GATE, ConstantBid(45.0))),
+        ids[1]: GatedBid(GATE, GatedBid(other, TableBid({"": 80.0}, 3.0))),
+        ids[2]: GatedBid(other, GatedBid(other, exclusive_bid(75.0))),
+        ids[3]: GatedBid(other, GatedBid(GATE, ConstantBid(90.0))),
+    }
+    for label in (GATE, other):  # each gate matches under one of the two
+        for bids in profiles.values():
+            _assert_pruned_walk_is_unpruned(with_bids(bundles, bids or {}), label)
+
+
+def test_pruned_walk_keeps_a_shorter_tie_where_the_slack_underflows():
+    # Bundles 1-3 pay x each only among themselves; 5 pays 3x only right
+    # after 4. Below the node (4,) the bound is exactly 3x, the incumbent
+    # (1, 2, 3), and x is so small that the float slack rounds to nothing:
+    # only the tie clause keeps the shorter (4, 5), which comes first in
+    # canonical order.
+    x = math.ulp(0.0)
+    trio = (1, 2, 3)
+    bundles = {
+        i: make_bundle(
+            i,
+            bid=TableBid(
+                {",".join(map(str, seq)): x
+                 for size in range(3)
+                 for seq in itertools.permutations([j for j in trio if j != i], size)},
+                0.0,
+            ),
+            writes={KEYS[0]},
+        )
+        for i in trio
+    }
+    bundles[4] = make_bundle(4, 0.0, writes={KEYS[0]})
+    bundles[5] = make_bundle(5, bid=TableBid({"4": 3 * x}, 0.0), reads={KEYS[0]})
+    assert _walk(bundles, GATE, False)[:2] == ((4, 5), 3 * x)
+    _assert_pruned_walk_is_unpruned(bundles, GATE)
 
 
 def _assert_oracle_matches(bundles, label, bids):
