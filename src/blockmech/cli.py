@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .baselines import compare_algorithms
 from .conflict import get_conflict_groups
-from .default_algo import build_with_resolutions, counterfactual_blocks
+from .default_algo import resolve_group_with_counterfactuals, splice_counterfactuals
 from .harness import (
     adoption_sweep,
     compare_sweep,
@@ -29,10 +29,10 @@ from .harness import (
 )
 from .mechanism import MechanismError, run_mechanism
 from .model import (
-    DEFAULT_K_CUTOFF, ModelError, block_bids, block_total_bid, one_time_label,
+    DEFAULT_K_CUTOFF, ModelError, add_up, block_bids, block_total_bid, one_time_label,
 )
 from .oracle import DEFAULT_OMEGA_LIMIT, OracleSizeError, full_omega, vcg_outcome
-from .reports import dumps_report, render, report_payload, write_report
+from .reports import dumps_report, render, report_payload
 from .scenario_io import ScenarioParseError, load_scenario, save_scenario
 from .strategies import (
     AdoptionScopeError,
@@ -100,16 +100,20 @@ def _emit(args, kind: str, body: dict, default_out: str = None) -> None:
         os.close(devnull)
     out = args.out or default_out
     if out:
-        write_report(out, payload)
+        Path(out).write_text(dumps_report(payload))
 
 
 def _cmd_build(args) -> int:
     scenario = _load_with_overrides(args)
     bundles = scenario.bundle_map()
     coinbase = one_time_label(scenario.seed)
-    block, resolutions = build_with_resolutions(
-        bundles, scenario.k_cutoff, scenario.seed, coinbase
-    )
+    resolved = [  # one default pass: the block, the rows, the counterfactuals
+        resolve_group_with_counterfactuals(
+            g, bundles, scenario.k_cutoff, scenario.seed, coinbase
+        )
+        for g in get_conflict_groups(bundles)
+    ]
+    block = tuple(i for res, _ in resolved for i in res.sub_block)
     body = {
         "block": list(block),
         "total_bid": block_total_bid(block, bundles, coinbase),
@@ -122,19 +126,16 @@ def _cmd_build(args) -> int:
                 "sub_block": list(res.sub_block),
                 "value": res.value,
             }
-            for res in resolutions
+            for res, _ in resolved
         ],
     }
     if args.counterfactuals:
-        counter = counterfactual_blocks(
-            bundles, scenario.k_cutoff, scenario.seed, coinbase
-        )
         body["counterfactuals"] = {}
-        for i, cblock in counter.items():
+        for i, cblock in splice_counterfactuals(resolved).items():
             values = block_bids(cblock, bundles, coinbase)
             body["counterfactuals"][str(i)] = {
                 "block": list(cblock),
-                "others_value": sum((v for j, v in values.items() if j != i), 0.0),
+                "others_value": add_up(v for j, v in values.items() if j != i),
             }
     _emit(args, "build", body)
     return 0
@@ -161,7 +162,7 @@ def _cmd_oracle(args) -> int:
                 {
                     "block": list(block),
                     "bids": {str(i): values.get(i, 0.0) for i in ids},
-                    "total": sum(values.values(), 0.0),
+                    "total": add_up(values.values()),
                 }
             )
     _emit(args, "oracle", body)
@@ -370,9 +371,12 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (
         UsageError, ScenarioParseError, GenerationError, MechanismError,
-        AdoptionScopeError, OracleSizeError, ModelError, FileNotFoundError,
+        AdoptionScopeError, OracleSizeError, ModelError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a report or scenario write: a directory, no folder
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -90,6 +90,7 @@ from .model import (
     Block,
     CoinbaseLabel,
     _bid_lookup,
+    add_up,
     block_bids,
 )
 
@@ -191,8 +192,10 @@ def _walk(
     are built on its first call. A `transcript` turns the test off and
     receives every node in walk order, so the nodes it lists never depend
     on bids. Returns (block, value, {id: (block, value with its bid
-    zeroed)}), the dict empty without `counterfactuals`; each value is the
-    left-to-right float total of its block.
+    zeroed)}), the dict empty without `counterfactuals`. The best value is
+    the left-to-right float total of its block; a counterfactual value is
+    the node total less the member's contribution, which can differ in the
+    last place from its block's left-to-right total with that bid zeroed.
     """
     ids = sorted(bundles)
     n = len(ids)
@@ -250,6 +253,7 @@ def _walk(
                 for t, table in enumerate(entries)
             )
         bounds = [reach[q].get(sigs[q], default[q]) for q in rest]
+        # Builtin `sum`: never reported, and the 1e-9 slack covers its rounding.
         extra = sum(bounds)
         top = value + extra
         if extra > 0:
@@ -343,9 +347,7 @@ def _scan(
         if transcript is not None:
             transcript.append(block)
         values = block_bids(block, bundles, coinbase)
-        total = 0.0
-        for value in values.values():
-            total += value
+        total = add_up(values.values())
         if best is None or total > best_value:
             best, best_value = block, total
         if counterfactuals:
@@ -430,34 +432,20 @@ def resolve_group_with_counterfactuals(
     return _resolve(group, bundles, k_cutoff, seed, coinbase, True)
 
 
-def build_with_resolutions(
-    bundles: dict,
-    k_cutoff: int,
-    seed: int,
-    coinbase: CoinbaseLabel,
-) -> tuple:
-    """Resolve every group and concatenate the sub-blocks.
-
-    Groups are mutually conflict-free, so the concatenation order cannot
-    change the value; ascending smallest-member-id keeps it reproducible.
-    Returns (block, [GroupResolution]).
-    """
-    resolutions = [
-        resolve_group(g, bundles, k_cutoff, seed, coinbase)
-        for g in get_conflict_groups(bundles)
-    ]
-    block = tuple(i for res in resolutions for i in res.sub_block)
-    return block, resolutions
-
-
 def block_building(
     bundles: dict,
     k_cutoff: int,
     seed: int,
     coinbase: CoinbaseLabel,
 ) -> Block:
-    block, _ = build_with_resolutions(bundles, k_cutoff, seed, coinbase)
-    return block
+    """Resolve every group and concatenate the sub-blocks.
+
+    Groups are mutually conflict-free, so the concatenation order cannot
+    change the value; ascending smallest-member-id keeps it reproducible.
+    """
+    groups = get_conflict_groups(bundles)
+    resolved = [resolve_group(g, bundles, k_cutoff, seed, coinbase) for g in groups]
+    return tuple(i for res in resolved for i in res.sub_block)
 
 
 def counterfactual_blocks(
@@ -466,25 +454,25 @@ def counterfactual_blocks(
     seed: int,
     coinbase: CoinbaseLabel,
 ) -> dict:
-    """For each bundle i, the block built with i's bid forced to zero.
-
-    Zeroing one bid can only change the resolution of that bundle's own
-    group, so the other groups' sub-blocks are spliced in unchanged from
-    one pass of `resolve_group_with_counterfactuals` (asserted equal to the
-    full rerun by the test suite). The bundle stays in the input and may
-    still be included at zero bid; the seed (and therefore every candidate
-    set) is unchanged.
-    """
+    """For each bundle i, the block built with i's bid forced to zero,
+    spliced from one pass (asserted equal to the full rerun by the test
+    suite). The bundle stays in the input, maybe included at zero bid; the
+    seed, and so every candidate set, is unchanged."""
     resolved = [
         resolve_group_with_counterfactuals(g, bundles, k_cutoff, seed, coinbase)
         for g in get_conflict_groups(bundles)
     ]
+    return splice_counterfactuals(resolved)
+
+
+def splice_counterfactuals(resolved: list) -> dict:
+    """{member id: block} from one pass, a (GroupResolution, counterfactuals)
+    pair per group in order. Zeroing i's bid changes only its own group's
+    resolution, so i's block swaps that sub-block for i's counterfactual."""
     out = {}
     for slot, (_, counterfactuals) in enumerate(resolved):
+        head = tuple(i for res, _ in resolved[:slot] for i in res.sub_block)
+        tail = tuple(i for res, _ in resolved[slot + 1:] for i in res.sub_block)
         for i, (sub_block, _) in counterfactuals.items():
-            parts = [
-                sub_block if s == slot else res.sub_block
-                for s, (res, _) in enumerate(resolved)
-            ]
-            out[i] = tuple(x for part in parts for x in part)
-    return {i: out[i] for i in sorted(out)}
+            out[i] = head + sub_block + tail
+    return dict(sorted(out.items()))

@@ -40,6 +40,7 @@ from .model import (
     CoinbaseLabel,
     GatedBid,
     Scenario,
+    add_up,
     block_bids,
     block_total_bid,
     builder_label,
@@ -201,14 +202,14 @@ class MechanismOutcome:
         """Everything the mechanism collects: searcher charges in the
         default-wins case, the winning builder's payment otherwise."""
         if self.winning_builder is None:
-            return sum((e.charge for e in self.searcher_ledger.values()), 0.0)
-        return sum((e.payment for e in self.builder_ledger.values()), 0.0)
+            return add_up(e.charge for e in self.searcher_ledger.values())
+        return add_up(e.payment for e in self.builder_ledger.values())
 
     @property
     def total_outflow(self) -> float:
         return (
-            sum((e.refund for e in self.searcher_ledger.values()), 0.0)
-            + sum((e.refund for e in self.builder_ledger.values()), 0.0)
+            add_up(e.refund for e in self.searcher_ledger.values())
+            + add_up(e.refund for e in self.builder_ledger.values())
             + self.proposer_revenue
         )
 
@@ -233,7 +234,7 @@ def refund_default(
         )
     total = block_total_bid(o_star, bundles, coinbase)
     others = block_bids(o_minus_i, bundles, coinbase)
-    others_total = sum(v for j, v in others.items() if j != i)
+    others_total = add_up(v for j, v in others.items() if j != i)
     return total - others_total
 
 
@@ -243,8 +244,8 @@ def alternative_refund(i: int, beta_star, beta_minus: Mapping, beta0, beta_prime
 
     Weights are paid outright while their sum fits under max(beta0,
     beta_prime); past the cap they are scaled down proportionally, which
-    keeps every refund non-negative and the total within the cap. Works for
-    any numeric type with exact arithmetic (e.g. Fraction).
+    keeps every refund non-negative and the total within the cap. Exact on
+    `Fraction`s, which builtin `sum` keeps (`model.add_up` makes floats).
 
     Deliberately vulnerable: a colluding builder can fabricate beta_minus to
     inflate one bundle's weight. Demo use only.
@@ -382,7 +383,7 @@ def settle(prepared: Prepared, entries: Mapping) -> MechanismOutcome:
         core_block, reserve = entries[top].block, max(beta0, beta_prime)
     final = _append_conflict_free(core_block, free, by_id)
     charges = block_bids(final, by_id, label)
-    free_total = sum(charges.get(i, 0.0) for i in free)
+    free_total = add_up(charges.get(i, 0.0) for i in free)
     searcher_ledger = {
         i: LedgerEntry(
             charge=charges.get(i, 0.0),
@@ -406,7 +407,7 @@ def settle(prepared: Prepared, entries: Mapping) -> MechanismOutcome:
         conflict_free=free,
         searcher_ledger=searcher_ledger,
         builder_ledger=builder_ledger,
-        proposer_revenue=reserve - sum(prepared.refunds.values()),
+        proposer_revenue=reserve - add_up(prepared.refunds.values()),
     )
 
 
@@ -440,6 +441,6 @@ def builder_utility(j: int, outcome: MechanismOutcome) -> float:
     pay and receive nothing."""
     if outcome.winning_builder != j:
         return 0.0
-    collected = sum(e.charge for e in outcome.searcher_ledger.values())
+    collected = add_up(e.charge for e in outcome.searcher_ledger.values())
     entry = outcome.builder_ledger[j]
     return collected - entry.payment + entry.refund

@@ -315,13 +315,23 @@ def block_bids(
     return values
 
 
+def add_up(amounts: Iterable) -> float:
+    """Left-to-right float total from 0.0, the walk's order: the one rule
+    for every reported amount. Builtin `sum` rounds floats otherwise from
+    CPython 3.12 on (compensated), so reports would vary by interpreter."""
+    total = 0.0
+    for amount in amounts:
+        total += amount
+    return total
+
+
 def block_total_bid(
     block: Block,
     bundles: dict,
     coinbase: CoinbaseLabel,
 ) -> float:
     """Total bid of a block, 0.0 when empty; bundles outside it contribute 0."""
-    return sum(block_bids(block, bundles, coinbase).values(), 0.0)
+    return add_up(block_bids(block, bundles, coinbase).values())
 
 
 def validate_builder_block(block: Block, bundles: dict) -> Optional[str]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .default_algo import _ordered_subsets, _walk
-from .model import Block, CoinbaseLabel, block_bids
+from .model import Block, CoinbaseLabel, add_up, block_bids
 
 DEFAULT_OMEGA_LIMIT = 8
 
@@ -78,5 +78,5 @@ def vcg_outcome(
     winner_values = block_bids(best_block, bundles, coinbase)
     charges = {i: winner_values.get(i, 0.0) for i in ids}
     refunds = {i: best_total - without[i][1] for i in ids}
-    proposer = sum((charges[i] - refunds[i] for i in ids), 0.0)
+    proposer = add_up(charges[i] - refunds[i] for i in ids)
     return VcgOutcome(best_block, best_total, charges, refunds, proposer)

@@ -11,7 +11,6 @@ sorting changes; rows keyed by bundle or builder id are drawn in id order.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 SCHEMA_VERSION = 1
 
@@ -22,10 +21,6 @@ def report_payload(kind: str, body: dict) -> dict:
 
 def dumps_report(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def write_report(path, payload: dict) -> None:
-    Path(path).write_text(dumps_report(payload))
 
 
 def fmt(x) -> str:

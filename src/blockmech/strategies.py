@@ -35,6 +35,7 @@ from .model import (
     Scenario,
     TableBid,
     ZERO_BID,
+    add_up,
     block_bids,
     block_total_bid,
     one_time_label,
@@ -321,7 +322,7 @@ def budget_deficit_demo() -> DeficitReport:
         refunds[i] = actual.beta_star - best_without
 
     collected = actual.beta_prime  # effective second-price charge on the winner
-    paid = sum(refunds.values())
+    paid = add_up(refunds.values())
     return DeficitReport(
         hypothetical_refunds=refunds,
         hypothetical_collected=collected,
@@ -366,7 +367,7 @@ def sybil_demo(
         raise ValueError("split parts must jointly cover the subject's writes")
     if frozenset().union(*[p.reads for p in parts]) != original.reads:
         raise ValueError("split parts must jointly cover the subject's reads")
-    if sum(p.bid.evaluate(head) for p in parts) != original.bid.evaluate(head):
+    if add_up(p.bid.evaluate(head) for p in parts) != original.bid.evaluate(head):
         raise ValueError("split parts' bids must sum to the subject's bid")
 
     before = run_mechanism(scenario)
@@ -377,9 +378,9 @@ def sybil_demo(
     after = run_mechanism(after_scenario)
     part_ids = [p.id for p in parts]
     refund_before = before.searcher_ledger[subject].refund
-    refund_after = sum(after.searcher_ledger[i].refund for i in part_ids)
+    refund_after = add_up(after.searcher_ledger[i].refund for i in part_ids)
     net_before = before.searcher_ledger[subject].net
-    net_after = sum(after.searcher_ledger[i].net for i in part_ids)
+    net_after = add_up(after.searcher_ledger[i].net for i in part_ids)
     return SybilReport(
         subject=subject,
         refund_before=refund_before,

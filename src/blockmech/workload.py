@@ -34,6 +34,7 @@ from .model import (
     StorageKey,
     TableBid,
     TxRef,
+    add_up,
     exclusive_bid,
 )
 from .scenario_io import (
@@ -167,7 +168,7 @@ def _plan_group_sizes(profile: Profile, rng: random.Random) -> list:
     weights = [profile.group_sizes[s] for s in sizes]
     # Each refusal names the profile field, as the profile loader's do.
     negative = [s for s, w in zip(sizes, weights) if w < 0]
-    if negative or sum(weights) <= 0:
+    if negative or add_up(weights) <= 0:
         where = f'group_sizes["{negative[0]}"]' if negative else "group_sizes"
         raise GenerationError(
             f"{where}: group size weights must be non-negative, sum > 0"

@@ -15,6 +15,12 @@ and list every rewritten file with it:
 
     PYTHONPATH=src python tests/regen_golden.py            # every case
     PYTHONPATH=src python tests/regen_golden.py NAME ...   # the named cases
+
+With `--check` as the first argument the script compares instead of
+writing: it prints each case whose bytes differ and exits 1 if any does.
+It needs no pytest, so any interpreter can check the report bytes:
+
+    PYTHONPATH=src python tests/regen_golden.py --check [NAME ...]
 """
 
 from __future__ import annotations
@@ -127,6 +133,17 @@ def _cases() -> dict:
     cases["build-counterfactuals-gated-json"] = (
         "build", gated, "--counterfactuals", *json_format
     )
+    # Bids in 0.1 steps: `realistic` seed 1 with every bid scaled by 0.1
+    # (`bid.scaled(0.1)`, valuation alike) and the line-up copy-default,
+    # greedy-bid, greedy-density. Such totals round in the last place, so
+    # these bytes hold only while every amount adds by one rule.
+    decimal = "{inputs}/decimal-1.json"
+    for name, argv in (
+        ("mechanism", ("mechanism", decimal)),
+        ("build-counterfactuals", ("build", decimal, "--counterfactuals")),
+        ("compare", ("compare", decimal)),
+    ):
+        cases[f"{name}-decimal-1-json"] = (*argv, *json_format)
     # Refusals that end in exit 2 and one line on stderr; tests/test_cli.py
     # checks the usage errors.
     cases["error-oracle-too-large"] = ("oracle", "{inputs}/stress-4.json")
@@ -164,19 +181,40 @@ def record(argv, workdir: Path) -> str:
     return text
 
 
+def _rerun(name: str) -> str:
+    with tempfile.TemporaryDirectory() as workdir:
+        text = record(CASES[name], Path(workdir))
+    for path in (str(FIXTURE_DIR), str(INPUTS), workdir):
+        if path in text:
+            raise SystemExit(f"{name}: the output names the path {path}")
+    return text
+
+
 def regenerate(names) -> None:
     for name in names:
-        with tempfile.TemporaryDirectory() as workdir:
-            text = record(CASES[name], Path(workdir))
-        for path in (str(FIXTURE_DIR), str(INPUTS), workdir):
-            if path in text:
-                raise SystemExit(f"{name}: the output names the path {path}")
-        (GOLDEN / f"{name}.txt").write_bytes(text.encode())
+        (GOLDEN / f"{name}.txt").write_bytes(_rerun(name).encode())
         print(f"wrote golden/{name}.txt")
 
 
+def check(names) -> int:
+    """Rerun the cases without writing; print each mismatch, 1 if any."""
+    mismatched = 0
+    for name in names:
+        golden = GOLDEN / f"{name}.txt"
+        if not golden.exists() or golden.read_bytes() != _rerun(name).encode():
+            mismatched += 1
+            print(f"mismatch: golden/{name}.txt")
+    print(f"{mismatched} of {len(names)} cases mismatch")
+    return 1 if mismatched else 0
+
+
 if __name__ == "__main__":
-    unknown = [name for name in sys.argv[1:] if name not in CASES]
+    args = sys.argv[1:]
+    checking = args[:1] == ["--check"]
+    names = args[1:] if checking else args
+    unknown = [name for name in names if name not in CASES]
     if unknown:
         raise SystemExit(f"unknown case(s): {', '.join(unknown)}")
-    regenerate(sys.argv[1:] or sorted(CASES))
+    if checking:
+        sys.exit(check(names or sorted(CASES)))
+    regenerate(names or sorted(CASES))

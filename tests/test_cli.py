@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockmech import default_algo
 from blockmech.cli import main
+from blockmech.conflict import get_conflict_groups
 from blockmech.fixtures import FIXTURE_DIR
 from blockmech.reports import _RENDERERS, render
 from blockmech.scenario_io import dumps_scenario, load_scenario
@@ -53,6 +55,23 @@ def test_build_prints_block_and_strategies(capsys):
     assert "block: [2, 1]" in out
     assert "enumerated" in out
     assert "others' value" in out
+
+
+@pytest.mark.parametrize("flags", [(), ("--counterfactuals",)], ids=["plain", "cf"])
+def test_build_resolves_each_group_once(capsys, monkeypatch, flags):
+    # Every group resolution, with counterfactuals or without, is a `_resolve`.
+    calls = []
+    resolve = default_algo._resolve
+
+    def counted(group, *args, **kwargs):
+        calls.append(group.members)
+        return resolve(group, *args, **kwargs)
+
+    monkeypatch.setattr(default_algo, "_resolve", counted)
+    path = str(REPO / "tests" / "golden" / "inputs" / "stress-7.json")
+    code, _, _ = run_cli(capsys, "build", path, *flags)
+    groups = get_conflict_groups(load_scenario(path).bundle_map())
+    assert code == 0 and sorted(calls) == sorted(g.members for g in groups)
 
 
 def test_missing_scenario_is_usage_error(capsys):
@@ -829,6 +848,25 @@ def test_scenario_path_that_is_a_directory_is_a_usage_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "mechanism", str(tmp_path))
     assert (code, out) == (2, "")
     assert err == f"error: {tmp_path}: Is a directory\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("mechanism", EXAMPLE2), ("gen", "--profile", "no-conflict"), ("demo", "sybil")],
+    ids=["mechanism", "gen", "demo"],
+)
+def test_out_at_a_directory_is_a_usage_error(capsys, tmp_path, argv):
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert (code, err) == (2, f"error: {tmp_path}: Is a directory\n")
+
+
+def test_default_report_name_taken_by_a_directory_is_a_usage_error(
+    capsys, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "demo-deficit-report.json").mkdir()
+    code, _, err = run_cli(capsys, "demo", "deficit")
+    assert (code, err) == (2, "error: demo-deficit-report.json: Is a directory\n")
 
 
 def test_profile_with_only_zero_weight_sizes_left_generates(capsys, tmp_path):

@@ -11,7 +11,6 @@ from blockmech.default_algo import (
     Strategy,
     _plan,
     block_building,
-    build_with_resolutions,
     candidate_set,
     counterfactual_blocks,
     resolve_group,
@@ -242,9 +241,11 @@ def test_candidate_sets_ignore_bids_transcript():
 def test_resolution_strategies_recorded():
     scenario = generate_scenario(PROFILES["stress-large-groups"], 2)
     bundles = scenario.bundle_map()
-    _, resolutions = build_with_resolutions(
-        bundles, scenario.k_cutoff, scenario.seed, one_time_label(scenario.seed)
-    )
+    label = one_time_label(scenario.seed)
+    resolutions = [
+        resolve_group(g, bundles, scenario.k_cutoff, scenario.seed, label)
+        for g in get_conflict_groups(bundles)
+    ]
     strategies = {res.strategy for res in resolutions}
     assert Strategy.ENUMERATED in strategies  # singletons at least
     large = [res for res in resolutions if len(res.group) >= scenario.k_cutoff]
