@@ -71,8 +71,8 @@ def _load_with_overrides(args):
 
 
 def _sweep_size(args, field: str, default: int) -> int:
-    """A sweep's count (`--n`) or pool size (`--threads`), `default` when not
-    given; below 1 it means nothing."""
+    """A sweep's count (`--n`) or worker count (`--threads`), `default` when
+    not given; below 1 it means nothing."""
     value = default if getattr(args, field) is None else getattr(args, field)
     if value < 1:
         raise UsageError(f"--{field} must be >= 1, got {value}")
@@ -88,6 +88,9 @@ def _refuse_sweep_flags(args, sweep: str, *fields) -> None:
 
 def _emit(args, kind: str, body: dict, default_out: str = None) -> None:
     payload = report_payload(kind, body)
+    out = args.out or default_out
+    if out:  # first, so a failing write exits 2 before any report is printed
+        Path(out).write_text(dumps_report(payload))
     text = dumps_report(payload) if args.format == "json" else render(payload) + "\n"
     try:
         sys.stdout.write(text)
@@ -98,9 +101,6 @@ def _emit(args, kind: str, body: dict, default_out: str = None) -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-    out = args.out or default_out
-    if out:
-        Path(out).write_text(dumps_report(payload))
 
 
 def _cmd_build(args) -> int:
@@ -329,19 +329,23 @@ def build_parser() -> argparse.ArgumentParser:
     on_scenario("mechanism", _cmd_mechanism, "run the full mechanism and print ledgers")
     on_scenario("groups", _cmd_groups, "conflict-group histogram", ())
 
+    threads_help = (
+        "run the sweep on up to THREADS worker processes, inline when it is "
+        "too small to pay for them; never changes the output (default 1)"
+    )
     p = command("compare", _cmd_compare, "default vs greedy baselines (and oracle)")
     p.add_argument("scenario", nargs="?", default=None)
     p.add_argument("--gen", default=None, help="generate workloads from a profile")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--k-cutoff", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=threads_help)
 
     p = command("verify", _cmd_verify, "randomized incentive-property sweeps")
     p.add_argument("property", choices=("dsic-searcher", "dsic-builder", "integration"))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=threads_help)
 
     p = command("demo", _cmd_demo, "known-failure demonstrations")
     p.add_argument("demo", choices=("collusion", "deficit", "sybil"))

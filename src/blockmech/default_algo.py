@@ -7,8 +7,8 @@ over every ordered subset below the cutoff; above it, a structural shortcut
 last resort, deterministic truncation to a subset small enough to
 enumerate. One seeded member order serves both the same-target candidate
 and the truncation ranking. Groups are resolved one after another in the
-calling thread; the only worker pool in the package runs whole scenarios,
-in `harness`.
+calling process; the only worker processes in the package run whole
+scenarios, in `harness`.
 
 Enumerated and truncated groups are scored by one depth-first walk over the
 prefix tree of ordered subsets (`_walk`), which the exact oracle shares.

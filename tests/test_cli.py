@@ -856,8 +856,8 @@ def test_scenario_path_that_is_a_directory_is_a_usage_error(capsys, tmp_path):
     ids=["mechanism", "gen", "demo"],
 )
 def test_out_at_a_directory_is_a_usage_error(capsys, tmp_path, argv):
-    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
-    assert (code, err) == (2, f"error: {tmp_path}: Is a directory\n")
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: {tmp_path}: Is a directory\n")
 
 
 def test_default_report_name_taken_by_a_directory_is_a_usage_error(
@@ -865,8 +865,9 @@ def test_default_report_name_taken_by_a_directory_is_a_usage_error(
 ):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "demo-deficit-report.json").mkdir()
-    code, _, err = run_cli(capsys, "demo", "deficit")
-    assert (code, err) == (2, "error: demo-deficit-report.json: Is a directory\n")
+    code, out, err = run_cli(capsys, "demo", "deficit")
+    assert (code, out) == (2, "")
+    assert err == "error: demo-deficit-report.json: Is a directory\n"
 
 
 def test_profile_with_only_zero_weight_sizes_left_generates(capsys, tmp_path):
