@@ -71,8 +71,8 @@ def _load_with_overrides(args):
 
 
 def _sweep_size(args, field: str, default: int) -> int:
-    """A sweep's count (`--n`) or worker count (`--threads`), `default` when
-    not given; below 1 it means nothing."""
+    """A sweep's count (`--n`) or `--threads`, `default` when not given;
+    below 1 it means nothing."""
     value = default if getattr(args, field) is None else getattr(args, field)
     if value < 1:
         raise UsageError(f"--{field} must be >= 1, got {value}")
@@ -330,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     on_scenario("groups", _cmd_groups, "conflict-group histogram", ())
 
     threads_help = (
-        "run the sweep on up to THREADS worker processes, inline when it is "
-        "too small to pay for them; never changes the output (default 1)"
+        "accepted and not used: every sweep runs in this process; "
+        "never changes the output (default 1)"
     )
     p = command("compare", _cmd_compare, "default vs greedy baselines (and oracle)")
     p.add_argument("scenario", nargs="?", default=None)

@@ -7,8 +7,7 @@ over every ordered subset below the cutoff; above it, a structural shortcut
 last resort, deterministic truncation to a subset small enough to
 enumerate. One seeded member order serves both the same-target candidate
 and the truncation ranking. Groups are resolved one after another in the
-calling process; the only worker processes in the package run whole
-scenarios, in `harness`.
+calling process, as is every other computation in the package.
 
 Enumerated and truncated groups are scored by one depth-first walk over the
 prefix tree of ordered subsets (`_walk`), which the exact oracle shares.

@@ -7,9 +7,8 @@ first, in index order, then checks them; a failure line names its case as
 `scenario i`, which the same (count, seed) redraws.
 
 `_sweep` and `compare_sweep` are the package's only `model.ordered_map` call
-sites: the drawn cases are checked on up to `threads` worker processes,
-inline when there are too few to pay for them, and results are collected in
-case order, so `threads` never changes a result.
+sites. Both check the drawn cases in case order in the calling process;
+they take `threads` and hand it on, and it never changes a result.
 """
 
 from __future__ import annotations
@@ -90,9 +89,8 @@ def _drawn(profile: Profile, seed: int, index: int, lineup=()) -> Scenario:
 
 def _sweep(name: str, cases: list, check, threads: int = 1) -> HarnessResult:
     """Run `check(scenario, *subject)` on every drawn case
-    `(index, scenario, *subject)`, on up to `threads` worker processes, and
-    prefix each failure line it returns with its case's index, in case
-    order."""
+    `(index, scenario, *subject)` and prefix each failure line it returns
+    with its case's index, in case order."""
 
     def failures(index, *subject) -> list:
         return [f"scenario {index}: {line}" for line in check(*subject)]

@@ -7,7 +7,7 @@ under a one-time coinbase label: each conflict group's enumeration yields
 its sub-block of the default block and, per member, its best sub-block with
 that member's bid zeroed. That pass fixes every searcher refund, group by
 group. `compete` runs the builder algorithms on the same core, one after
-another in the calling process. `settle` runs the auction: the best builder
+another in the calling thread. `settle` runs the auction: the best builder
 bid faces a second-price rule with the default block's value as the
 reserve. Searcher refunds are identical no matter which side wins.
 `run_mechanism` is the composition of the three; a deviation that moves

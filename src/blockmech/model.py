@@ -3,9 +3,8 @@
 Real chain execution is abstracted away. What a bundle "sees" when a block
 runs is reduced to the ordered sequence of conflicting bundles placed before
 it plus the coinbase label of the run; a bid function maps that context to a
-non-negative payment. All types are immutable after construction and every
-operation in the package is a pure function, so a forked worker process
-computes exactly what its parent would.
+non-negative payment. All types are immutable after construction, so every
+operation in the package is a pure function.
 
 Every `bundles` argument in the package is the id -> Bundle map that
 `Scenario.bundle_map()` returns; callees only read it.
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
@@ -349,63 +347,11 @@ def validate_builder_block(block: Block, bundles: dict) -> Optional[str]:
     return None
 
 
-# Items each forked worker must get before a second worker pays for its
-# start: below twice this, a map runs inline in the calling process.
-PER_WORKER = 64
-
-# The (fn, items) of the map a forked worker serves; set only in workers.
-_job = None
-
-
-def _take_job(fn, items: list) -> None:
-    global _job
-    _job = (fn, items)
-
-
-def _run_range(span: tuple) -> list:
-    """Worker `k`'s share, `items[lo:hi]`, mapped after the worker moves
-    to the k-th allowed CPU. The move is explicit because a scheduler that
-    does not balance load leaves every forked child on its parent's CPU;
-    the full mask is restored at once, so the scheduler may move it on."""
-    k, lo, hi = span
-    if hasattr(os, "sched_setaffinity"):
-        cpus = sorted(os.sched_getaffinity(0))
-        try:
-            os.sched_setaffinity(0, {cpus[k % len(cpus)]})
-            os.sched_setaffinity(0, cpus)
-        except OSError:  # stay where the fork put it
-            pass
-    fn, items = _job
-    return [fn(x) for x in items[lo:hi]]
-
-
 def ordered_map(fn, items: Iterable, threads: int = 1) -> list:
-    """Map preserving input order, on up to `threads` worker processes, and
-    inline when there are too few items to pay for them (fewer than
-    `PER_WORKER` per worker), when the platform cannot fork, or when other
-    threads run (a forked child would inherit their locks held forever).
+    """Map in input order, in the calling process.
 
-    Each worker is forked with `(fn, items)` in memory, so neither is
-    pickled, and runs one contiguous index range; only results travel back.
-    Ranges are collected in index order, never completion order, so the
-    result is identical for any `threads`. An exception raised by `fn` in a
-    worker is raised here, and no worker outlives the call.
+    `threads` is accepted and not used: threads run this pure Python under
+    the GIL and lose to one, and a process pool only pays on sweeps far
+    larger than any the benchmark runs.
     """
-    items = list(items)
-    workers = min(threads, len(items) // PER_WORKER)
-    if workers > 1:
-        import multiprocessing
-        import threading
-        from concurrent.futures import ProcessPoolExecutor
-
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # no fork on this platform
-            context = None
-        if context is not None and threading.active_count() == 1:
-            cuts = [len(items) * w // workers for w in range(workers + 1)]
-            with ProcessPoolExecutor(workers, context, _take_job, (fn, items)) as pool:
-                spans = zip(range(workers), cuts, cuts[1:])
-                ranges = list(pool.map(_run_range, spans))
-            return [y for chunk in ranges for y in chunk]
     return [fn(x) for x in items]

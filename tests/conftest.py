@@ -4,7 +4,6 @@ reference for restating bids."""
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import replace
 
 import pytest
@@ -106,18 +105,3 @@ def example2():
     from blockmech.fixtures import load_fixture
 
     return load_fixture("example2")
-
-
-@pytest.fixture
-def pool_starts(monkeypatch):
-    """The worker count of each process pool `model.ordered_map` starts
-    during the test, in order; the pools themselves are real."""
-    starts = []
-
-    class Counted(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, *args, **kwargs):
-            starts.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
-    return starts

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
 import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockmech import model
 from blockmech.model import (
     CoinbaseLabel,
     ConstantBid,
@@ -241,81 +238,13 @@ def test_gated_bundle_contributes_nothing_to_successors():
     assert values[2] == 7  # and leaves the successor's context empty
 
 
-def test_ordered_map_on_workers_equals_inline(monkeypatch, pool_starts):
-    # A closure over a local does not pickle: the workers must inherit it.
-    offset = 1000
-    items = list(range(10))
-    monkeypatch.setattr(model, "PER_WORKER", 3)
-    assert ordered_map(lambda x: (x, x + offset), items, 3) == [
-        (x, x + offset) for x in items
-    ]
-    assert pool_starts == [3]
-    assert multiprocessing.active_children() == []
-    assert threading.active_count() == 1  # or the next map would run inline
+def test_ordered_map_runs_in_order_on_the_calling_thread():
+    caller = threading.get_ident()
+    seen = []
 
+    def record(x):
+        seen.append(threading.get_ident())
+        return -x
 
-def test_ordered_map_raises_a_worker_exception_in_the_caller(monkeypatch, pool_starts):
-    def check(x):
-        if x == 7:
-            raise ModelError(f"item {x}")
-        return x
-
-    monkeypatch.setattr(model, "PER_WORKER", 4)
-    with pytest.raises(ModelError, match="item 7"):
-        ordered_map(check, range(10), 2)
-    assert pool_starts == [2]
-    assert multiprocessing.active_children() == []
-
-
-def test_ordered_map_starts_no_more_workers_than_the_items_pay_for(monkeypatch):
-    sizes, spans = [], []
-
-    class InlinePool:
-        """Stands in for the process pool: records its size and the index
-        ranges it is handed, and maps them in this process, forking
-        nothing."""
-
-        def __init__(self, max_workers, context, initializer, initargs):
-            sizes.append(max_workers)
-            self.fn, self.items = initargs
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, ranges):
-            spans.append(list(ranges))
-            return [[self.fn(x) for x in self.items[lo:hi]] for _, lo, hi in spans[-1]]
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(model, "PER_WORKER", 4)
-    for n in (9, 12, 7):
-        assert ordered_map(str, range(n), 10_000) == [str(x) for x in range(n)]
-    assert sizes == [2, 3]  # the 7 items ran inline
-    assert spans == [[(0, 0, 4), (1, 4, 9)], [(0, 0, 4), (1, 4, 8), (2, 8, 12)]]
-
-
-def test_ordered_map_runs_inline_where_fork_is_missing(monkeypatch, pool_starts):
-    def no_fork(method=None):
-        raise ValueError(f"cannot find context for {method!r}")
-
-    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-    monkeypatch.setattr(model, "PER_WORKER", 1)
-    assert ordered_map(abs, [-3, 2, -1], 3) == [3, 2, 1]
-    assert pool_starts == []
-
-
-def test_ordered_map_runs_inline_beside_another_thread(monkeypatch, pool_starts):
-    release = threading.Event()
-    other = threading.Thread(target=release.wait)
-    other.start()
-    try:
-        monkeypatch.setattr(model, "PER_WORKER", 1)
-        assert ordered_map(abs, [-3, 2, -1], 3) == [3, 2, 1]
-    finally:
-        release.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
-    assert pool_starts == []
+    assert ordered_map(record, iter(range(5)), 8) == [0, -1, -2, -3, -4]
+    assert seen == [caller] * 5
